@@ -5,7 +5,7 @@ field F_p or the rationals.  The main layers:
 
   fields      scalar arithmetic (FieldSpec)
   matrices    dense exact matrices, rref, kernels, solving
-  complexes   bounded cochain complexes, shift, cohomology
+  complexes   bounded cochain complexes, shift, cohomology, contractions
   chainmaps   chain maps, homotopies, quasi-isomorphism tests
   cones       mapping cones, triangles, long exact sequences
   roofs       roofs (spans), cospan flips, roof composition
@@ -34,7 +34,9 @@ from .complexes import (
     CochainComplex,
     CohomologySpace,
     ComplexValidation,
+    Contraction,
     cohomology,
+    contraction,
     direct_sum_complex,
     is_acyclic,
     shift,
@@ -99,6 +101,7 @@ __all__ = [
     "CochainComplex",
     "CohomologySpace",
     "ComplexValidation",
+    "Contraction",
     "Cospan",
     "FieldMismatchError",
     "FieldSpec",
@@ -129,6 +132,7 @@ __all__ = [
     "compose_chain_maps",
     "compose_roofs",
     "cone_triangle",
+    "contraction",
     "direct_sum_complex",
     "emit_session",
     "find_homotopy",

@@ -9,9 +9,10 @@ degree i of A to degree i-1 of B.  The identity it witnesses is
 
     g^i - f^i = d_B^{i-1} k^i + k^{i+1} d_A^i.
 
-find_homotopy searches for a witness by solving one global linear
-system over all degrees at once; the degrees couple through the
-k^{i+1} d_A^i term, so degreewise solving would be incomplete.
+Over a field, g - f is null-homotopic exactly when it is a chain map
+that vanishes on cohomology.  find_homotopy decides that and builds a
+witness in closed form from the contraction data of both complexes (see
+complexes.contraction), degree by degree, with no linear system to solve.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .complexes import CochainComplex, cohomology, shift
+from .complexes import CochainComplex, cohomology, contraction, shift
 from .errors import FieldMismatchError, InvalidChainMapError, ShapeMismatchError
-from .matrices import Matrix, mat_add, mat_mul, mat_neg, mat_sub, rank, solve_linear
+from .matrices import Matrix, mat_add, mat_mul, mat_neg, mat_sub, rank
 
 __all__ = [
     "ChainMap",
@@ -234,64 +235,43 @@ def check_homotopy(f: ChainMap, g: ChainMap, k: Homotopy) -> bool:
 
 
 def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
-    """Solve for a homotopy witness between f and g, or return None.
+    """A homotopy witness between f and g, or None if there is none.
 
-    All component entries are unknowns of a single linear system; the
-    particular solution (free variables zero) makes the result
-    deterministic.  A returned witness always passes check_homotopy.
+    With phi = g - f and (incl, proj, htpy) the contraction data of the
+    source A and target B, the answer is None when phi is not a chain
+    map or when it is nonzero on cohomology (H^i(phi) = proj_B phi^i
+    incl_A); otherwise the witness is
+
+        k^i = htpy_B^i phi^i + incl_B^{i-1} proj_B^{i-1} phi^{i-1} htpy_A^i.
+
+    Only the validity of the witness is promised, not which one is
+    returned.  Raises InvalidComplexError if either complex fails
+    d(d(x)) = 0, and RuntimeError if the witness fails check_homotopy.
     """
     _require_parallel(f, g)
     s, t = f.source, f.target
-    fld = s.field
-    udegs = [
-        i
-        for i in range(max(s.lo, t.lo + 1), min(s.hi, t.hi + 1) + 1)
-        if s.dim(i) > 0 and t.dim(i - 1) > 0
-    ]
-    offset = {}
-    total = 0
-    for i in udegs:
-        offset[i] = total
-        total += t.dim(i - 1) * s.dim(i)
-    edegs = [
-        i
-        for i in range(max(s.lo, t.lo), min(s.hi, t.hi) + 1)
-        if s.dim(i) > 0 and t.dim(i) > 0
-    ]
-    rows: list[list] = []
-    rhs: list = []
-    for i in edegs:
-        d_out = t.d(i - 1)
-        d_in = s.d(i)
-        target_rows, source_cols = t.dim(i), s.dim(i)
-        delta = mat_sub(g.component(i), f.component(i))
-        for r in range(target_rows):
-            for c in range(source_cols):
-                row = [fld.zero()] * total
-                if i in offset:
-                    base = offset[i]
-                    for a in range(t.dim(i - 1)):
-                        idx = base + a * source_cols + c
-                        row[idx] = fld.add(row[idx], d_out[r, a])
-                if i + 1 in offset:
-                    base = offset[i + 1]
-                    for b in range(s.dim(i + 1)):
-                        idx = base + r * s.dim(i + 1) + b
-                        row[idx] = fld.add(row[idx], d_in[b, c])
-                rows.append(row)
-                rhs.append(delta[r, c])
-    system = Matrix(len(rows), total, tuple(x for row in rows for x in row), fld)
-    column = Matrix(len(rhs), 1, tuple(rhs), fld)
-    x = solve_linear(system, column)
-    if x is None:
+    degrees = range(min(s.lo, t.lo), max(s.hi, t.hi) + 2)
+    # fetching the contraction data first validates both complexes
+    ca = {i: contraction(s, i) for i in degrees}
+    cb = {i: contraction(t, i) for i in degrees}
+    window = _storage_window(s.lo, s.hi, t.lo, t.hi)
+    phi = ChainMap.create(s, t, {i: mat_sub(g.component(i), f.component(i)) for i in window})
+    # d k + k d is always a chain map, and it is zero on cohomology
+    if not validate_chain_map(phi).ok:
+        return None
+    if any(not induced_cohomology_map(phi, i).is_zero() for i in window):
         return None
     comps = {}
-    for i in udegs:
-        r, c = t.dim(i - 1), s.dim(i)
-        base = offset[i]
-        comps[i] = Matrix(r, c, x.entries[base : base + r * c], fld)
+    for i in range(max(s.lo, t.lo + 1), min(s.hi, t.hi + 1) + 1):
+        # proj_B^{i-1} phi^{i-1} htpy_A^i: A^i -> H^{i-1}(B)
+        to_cohomology = mat_mul(mat_mul(cb[i - 1].proj, phi.component(i - 1)), ca[i].htpy)
+        comps[i] = mat_add(
+            mat_mul(cb[i].htpy, phi.component(i)),
+            mat_mul(cb[i - 1].incl, to_cohomology),
+        )
     witness = Homotopy.create(s, t, comps)
-    assert check_homotopy(f, g, witness), "solved witness failed verification"
+    if not check_homotopy(f, g, witness):
+        raise RuntimeError("closed-form witness failed verification")
     return witness
 
 
@@ -316,19 +296,15 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
     """The matrix of H^i(f) in the canonical cohomology bases.
 
     Shape is dim H^i(target) x dim H^i(source).  Representative cocycles
-    of the source are pushed through f^i, re-expressed in the target's
-    cocycle coordinates, and projected onto the target's quotient basis.
+    of the source are pushed through f^i, read in the target's cocycle
+    coordinates on its free rows, and projected onto the target's
+    quotient basis: this is proj_B f^i incl_A of the contraction data.
     """
     _require_valid_map(f)
     hs = cohomology(f.source, i)
     ht = cohomology(f.target, i)
     image = mat_mul(f.component(i), hs.representatives())
-    coords = solve_linear(ht.cocycle_basis, image)
-    if coords is None:
-        raise RuntimeError(
-            "image of a cocycle is not a cocycle; inputs violate chain map validity"
-        )
-    return mat_mul(ht.projection, coords)
+    return mat_mul(ht.projection, image.take_rows(ht.free_rows))
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

@@ -10,29 +10,35 @@ Shift convention used throughout the package: shifting by n moves degree
 i+n to degree i and scales every differential by (-1)^n.
 
 Cohomology at a degree comes with a canonical basis.  The cocycle basis
-is the canonical kernel basis of d^i; the coboundary subspace is
-re-expressed in those coordinates and row-reduced; the representative
-cocycles are the kernel basis columns whose coordinate is not a pivot of
-that reduced form.  Everything downstream (induced maps, exactness
-checks) leans on this choice being deterministic.
+is the canonical kernel basis of d^i; it is the identity on the free
+(non-pivot) rows of d^i, so a cocycle's coordinates are its entries in
+those rows.  The coboundary subspace is re-expressed in those
+coordinates and row-reduced; the representative cocycles are the kernel
+basis columns whose coordinate is not a pivot of that reduced form.
+Everything downstream (induced maps, exactness checks, homotopy
+witnesses) leans on this choice being deterministic.
+
+Over a field every complex deformation-retracts onto its cohomology.
+``contraction`` gives that retraction degree by degree: the inclusion
+of the representatives, a projection onto the canonical basis, and a
+degree -1 homotopy between their composite and the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Optional
+from functools import cached_property, lru_cache
+from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatchError, InvalidComplexError, ShapeMismatchError
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
     block_diag,
-    kernel_basis,
+    hstack,
     mat_mul,
     mat_scale,
     rref,
-    solve_linear,
     transpose,
 )
 
@@ -40,10 +46,12 @@ __all__ = [
     "CochainComplex",
     "CohomologySpace",
     "ComplexValidation",
+    "Contraction",
     "validate_complex",
     "shift",
     "direct_sum_complex",
     "cohomology",
+    "contraction",
     "is_acyclic",
 ]
 
@@ -203,7 +211,9 @@ class CohomologySpace:
     ``rep_columns`` lists the cocycle columns chosen as quotient
     representatives.  ``projection`` maps cocycle coordinates onto
     quotient coordinates; it kills the coboundary subspace and is the
-    identity on the representative columns.
+    identity on the representative columns.  ``free_rows`` lists the
+    non-pivot columns of d^i; the cocycle basis restricted to these rows
+    is the identity, so they read off a cocycle's coordinates.
     """
 
     degree: int
@@ -211,6 +221,7 @@ class CohomologySpace:
     cocycle_basis: Matrix
     rep_columns: tuple[int, ...]
     projection: Matrix
+    free_rows: tuple[int, ...]
 
     def representatives(self) -> Matrix:
         """Representative cocycles as honest vectors of the underlying degree."""
@@ -230,13 +241,12 @@ def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
     """H^i with the canonical basis data described in the module docstring."""
     _require_valid(c)
     f = c.field
-    zmat = kernel_basis(c.d(i))
-    nz = zmat.cols
-    coords = solve_linear(zmat, c.d(i - 1))
-    if coords is None:
-        raise RuntimeError(
-            "coboundaries escaped the cocycle space; validation should have caught this"
-        )
+    red = rref(c.d(i))
+    zmat = red.kernel_basis()
+    free = red.free_columns()
+    nz = len(free)
+    # the cocycle basis is the identity on the free rows
+    coords = c.d(i - 1).take_rows(free)
     reduced, pivots = rref(transpose(coords))
     pivot_set = set(pivots)
     reps = tuple(j for j in range(nz) if j not in pivot_set)
@@ -247,7 +257,71 @@ def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
         for r, pc in enumerate(pivots):
             flat[t * nz + pc] = f.neg(reduced[r, j])
     projection = Matrix(h, nz, tuple(flat), f)
-    return CohomologySpace(i, h, zmat, reps, projection)
+    return CohomologySpace(i, h, zmat, reps, projection, free)
+
+
+def _embed(m: Matrix, rows: Sequence[int], cols: Sequence[int], shape: tuple[int, int]) -> Matrix:
+    """The matrix of ``shape`` holding m[j, s] at (rows[j], cols[s]), zero elsewhere."""
+    nrows, ncols = shape
+    flat = [m.field.zero()] * (nrows * ncols)
+    for j, r in enumerate(rows):
+        for s, col in enumerate(cols):
+            flat[r * ncols + col] = m[j, s]
+    return Matrix(nrows, ncols, tuple(flat), m.field)
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """Contraction data of a complex onto its cohomology at one degree.
+
+    ``incl`` (dim C^i x dim H^i) sends the canonical basis of H^i to the
+    representative cocycles.  ``proj`` (dim H^i x dim C^i) is the
+    cohomology projection read on the free rows of d^i and zero on its
+    pivot rows; it kills coboundaries and proj incl = id.  ``htpy``
+    (dim C^{i-1} x dim C^i) is the degree -1 map with
+
+        id - incl^i proj^i = d^{i-1} htpy^i + htpy^{i+1} d^i,
+
+    where htpy^{i+1} belongs to the contraction at degree i+1.
+    """
+
+    complex: CochainComplex
+    degree: int
+    incl: Matrix
+    proj: Matrix
+
+    @cached_property
+    def htpy(self) -> Matrix:
+        """The homotopy, read off the basis T = [B | reps | E] of C^i.
+
+        B is d^{i-1} at its pivot columns, a basis of the coboundaries,
+        and E the unit vectors at the pivot columns of d^i.  Row j of
+        T^{-1}, for j below rank d^{i-1}, becomes the row of htpy at the
+        j-th pivot column of d^{i-1}; all other rows are zero.  On the
+        free rows of d^i, E vanishes and reps are unit vectors, so those
+        rows of T^{-1} are the inverse of the square block G of d^{i-1}
+        at the free rows that are not representative coordinates and at
+        its pivot columns, and vanish elsewhere: only G is inverted.
+        """
+        c, i = self.complex, self.degree
+        space = cohomology(c, i)
+        below = cohomology(c, i - 1)
+        reps = set(space.rep_columns)
+        rows = [r for j, r in enumerate(space.free_rows) if j not in reps]
+        below_free = set(below.free_rows)
+        cols = [j for j in range(c.dim(i - 1)) if j not in below_free]
+        g = c.d(i - 1).take_rows(rows).take_columns(cols)
+        n = len(cols)
+        g_inv = rref(hstack(g, Matrix.identity(c.field, n))).matrix.take_columns(range(n, 2 * n))
+        return _embed(g_inv, cols, rows, (c.dim(i - 1), c.dim(i)))
+
+
+@lru_cache(maxsize=None)
+def contraction(c: CochainComplex, i: int) -> Contraction:
+    """The contraction data of ``c`` at degree i; raises on d(d(x)) != 0."""
+    space = cohomology(c, i)
+    proj = _embed(space.projection, range(space.dim), space.free_rows, (space.dim, c.dim(i)))
+    return Contraction(c, i, space.representatives(), proj)
 
 
 def is_acyclic(c: CochainComplex) -> bool:

@@ -139,7 +139,8 @@ def check_les_exact(t: Triangle) -> bool:
         maps.append(induced_cohomology_map(t.g, i))
         maps.append(induced_cohomology_map(t.h, i))
     for incoming, outgoing in zip(maps, maps[1:]):
-        assert outgoing.cols == incoming.rows, "triangle endpoints guarantee matching nodes"
+        if outgoing.cols != incoming.rows:
+            raise RuntimeError("triangle endpoints guarantee matching nodes")
         if not mat_mul(outgoing, incoming).is_zero():
             return False
         if rank(incoming) + rank(outgoing) != outgoing.cols:

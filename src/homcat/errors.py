@@ -1,9 +1,10 @@
 """Exception hierarchy shared by the library and the command line tool.
 
 Every class below signals a problem with the caller's input.  Internal
-logic faults (a cocycle whose image fails to be a cocycle, a witness that
-does not check) are raised as plain RuntimeError or AssertionError and
-are never caught by the CLI's input-error handling.
+logic faults (a self-check of a construction that fails, a witness that
+does not check) are raised as plain RuntimeError, never through assert,
+so they still run under ``python -O``; the CLI's input-error handling
+never catches them.
 """
 
 

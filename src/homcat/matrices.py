@@ -107,9 +107,9 @@ class Matrix:
     def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def column(self, j: int) -> "Matrix":
-        flat = tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-        return Matrix(self.rows, 1, flat, self.field)
+    def take_rows(self, which: Sequence[int]) -> "Matrix":
+        flat = tuple(x for i in which for x in self.row(i))
+        return Matrix(len(which), self.cols, flat, self.field)
 
     def take_columns(self, which: Sequence[int]) -> "Matrix":
         flat = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in which)
@@ -126,6 +126,27 @@ class Matrix:
 class RrefResult(NamedTuple):
     matrix: Matrix
     pivots: tuple[int, ...]
+
+    def free_columns(self) -> tuple[int, ...]:
+        """The non-pivot columns, in ascending order."""
+        pivot_set = set(self.pivots)
+        return tuple(j for j in range(self.matrix.cols) if j not in pivot_set)
+
+    def kernel_basis(self) -> Matrix:
+        """Columns form the canonical basis of the right null space.
+
+        One basis vector per free column, in ascending column order: it
+        is 1 at its free column and 0 at every other free column.
+        """
+        red, pivots = self
+        f = red.field
+        free = self.free_columns()
+        flat = [f.zero()] * (red.cols * len(free))
+        for t, j in enumerate(free):
+            flat[j * len(free) + t] = f.one()
+            for r, pc in enumerate(pivots):
+                flat[pc * len(free) + t] = f.neg(red[r, j])
+        return Matrix(red.cols, len(free), tuple(flat), f)
 
 
 def _require_same_field(a: Matrix, b: Matrix) -> None:
@@ -317,21 +338,8 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form the canonical basis of the right null space of ``m``.
-
-    One basis vector per free column, in ascending column order, read off
-    the reduced echelon form.
-    """
-    red, pivots = rref(m)
-    f = m.field
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    flat = [f.zero()] * (m.cols * len(free))
-    for t, j in enumerate(free):
-        flat[j * len(free) + t] = f.one()
-        for r, pc in enumerate(pivots):
-            flat[pc * len(free) + t] = f.neg(red[r, j])
-    return Matrix(m.cols, len(free), tuple(flat), f)
+    """The canonical null space basis of ``m``; see RrefResult.kernel_basis."""
+    return rref(m).kernel_basis()
 
 
 def solve_linear(m: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -119,10 +119,11 @@ class RoofEquivalenceWitness:
 def flip_cospan(c: Cospan) -> FlipResult:
     """Flip a cospan into a span, returning the homotopy that closes it.
 
-    The construction is self checking: it asserts the block identity
+    The construction is self checking: it checks the block identity
     (alpha gamma2 - beta gamma1)^i = [alpha^i  beta^i  0], verifies the
     witness through check_homotopy, and verifies gamma2 is a
-    quasi-isomorphism before returning.
+    quasi-isomorphism before returning; it raises RuntimeError if any of
+    these fails.
     """
     alpha, beta = c.alpha, c.beta
     big_l, big_m = alpha.source, beta.source
@@ -169,11 +170,12 @@ def flip_cospan(c: Cospan) -> FlipResult:
             fld,
             [[alpha.component(i), beta.component(i), Matrix.zeros(fld, kbar.dim(i), kbar.dim(i - 1))]],
         )
-        assert mat_sub(top.component(i), bottom.component(i)) == expected, (
-            f"flip difference is not (alpha, beta, 0) at degree {i}"
-        )
-    assert check_homotopy(bottom, top, witness), "flip witness failed verification"
-    assert is_quasi_iso(gamma2), "flip projection onto the wrong leg must be a quasi-isomorphism"
+        if mat_sub(top.component(i), bottom.component(i)) != expected:
+            raise RuntimeError(f"flip difference is not (alpha, beta, 0) at degree {i}")
+    if not check_homotopy(bottom, top, witness):
+        raise RuntimeError("flip witness failed verification")
+    if not is_quasi_iso(gamma2):
+        raise RuntimeError("flip projection onto the wrong leg must be a quasi-isomorphism")
     return FlipResult(k_complex, gamma2, gamma1, witness)
 
 

@@ -7,6 +7,7 @@ summands); tests that need invalid input perturb these by hand.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from homcat import (
@@ -204,3 +205,97 @@ def scaled_identity_map(c, scalar):
         if c.dim(i) > 0
     }
     return ChainMap.create(c, c, comps)
+
+
+def random_conjugator(rng, field, n):
+    """A random invertible n x n matrix P together with P^{-1}.
+
+    P is the identity after one random column operation for every ordered
+    pair of distinct columns, so it is dense; P^{-1} applies the inverse
+    row operations.  Entries grow over Q, so keep n small there.
+    """
+    p = [[field.one() if r == c else field.zero() for c in range(n)] for r in range(n)]
+    p_inv = [row[:] for row in p]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            x = random_scalar(rng, field)
+            # P <- P (I + x e_ab) adds x times column a to column b;
+            # P^{-1} <- (I - x e_ab) P^{-1} subtracts x times row b from row a
+            for row in p:
+                row[b] = field.add(row[b], field.mul(x, row[a]))
+            p_inv[a] = [field.sub(u, field.mul(x, v)) for u, v in zip(p_inv[a], p_inv[b])]
+    return Matrix.from_rows(field, p, cols=n), Matrix.from_rows(field, p_inv, cols=n)
+
+
+@dataclass
+class StandardComplex:
+    """A complex on degrees 0..len(dims)-1 conjugated from standard form.
+
+    In standard coordinates degree i splits as B^i + H^i + C^i and the
+    standard differential sends C^i identically onto B^{i+1}; the actual
+    differential is P_{i+1} D^i P_i^{-1}.  So dim H^i is known, and the
+    H^i block of standard coordinates is a basis of the cohomology.
+    """
+
+    complex: CochainComplex
+    conj: list
+    conj_inv: list
+    splits: list  # (dim B^i, dim H^i, dim C^i) per degree
+
+
+def standard_complex(rng, field, dims, ranks):
+    """Conjugated standard complex; ``ranks[i]`` is the rank of d^i."""
+    n = len(dims)
+    c = list(ranks) + [0]
+    b = [0] + list(ranks)
+    splits = [(b[i], dims[i] - b[i] - c[i], c[i]) for i in range(n)]
+    if min(h for _, h, _ in splits) < 0:
+        raise ValueError(f"ranks {ranks} do not fit dims {dims}")
+    conj, conj_inv = zip(*(random_conjugator(rng, field, d) for d in dims))
+    diff = {
+        i: mat_mul(
+            conj[i + 1].take_columns(range(c[i])),
+            conj_inv[i].take_rows(range(dims[i] - c[i], dims[i])),
+        )
+        for i in range(n - 1)
+    }
+    cx = CochainComplex.create(field, dims=dict(enumerate(dims)), diff=diff)
+    return StandardComplex(cx, list(conj), list(conj_inv), splits)
+
+
+def _block(x, split):
+    """Which standard block (0 = B, 1 = H, 2 = C) coordinate x lies in."""
+    b, h, _ = split
+    return 0 if x < b else 1 if x < b + h else 2
+
+
+def standard_chain_map(rng, a, b, coh):
+    """A chain map between standard complexes with cohomology blocks ``coh``.
+
+    ``coh[i]`` is a dim H_b^i x dim H_a^i list of rows.  In standard
+    coordinates the chain map condition forces the blocks (H_b, B_a),
+    (C_b, B_a) and (C_b, H_a) to vanish and copies the block (C_b, C_a)
+    of degree i into the block (B_b, B_a) of degree i+1; every other
+    block is random.  Maps with different ``coh`` differ on cohomology.
+    """
+    field = a.complex.field
+    comps = {}
+    carry = None
+    for i, (sa, sb) in enumerate(zip(a.splits, b.splits)):
+        rows, cols = sum(sb), sum(sa)
+        std = [[field.zero()] * cols for _ in range(rows)]
+        for r in range(rows):
+            for c in range(cols):
+                blocks = (_block(r, sb), _block(c, sa))
+                if blocks == (0, 0):
+                    std[r][c] = carry[r][c]
+                elif blocks == (1, 1):
+                    std[r][c] = field.coerce(coh[i][r - sb[0]][c - sa[0]])
+                elif blocks[1] == 2 or blocks == (0, 1):
+                    std[r][c] = random_scalar(rng, field)
+        carry = [row[sa[0] + sa[1] :] for row in std[sb[0] + sb[1] :]]
+        std_m = Matrix.from_rows(field, std, cols=cols)
+        comps[i] = mat_mul(mat_mul(b.conj[i], std_m), a.conj_inv[i])
+    return ChainMap.create(a.complex, b.complex, comps)

@@ -1,11 +1,17 @@
 """Chain maps, homotopies, induced maps, quasi-isomorphism tests.
 
 The completeness oracle for find_homotopy enumerates every candidate
-homotopy over F2; the induced-map examples are checked against hand
+homotopy over F2; over F5 and Q its verdicts are checked on complexes
+conjugated from standard form, whose maps on cohomology are known by
+construction.  The induced-map examples are checked against hand
 computations recorded inline.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 
 import pytest
@@ -14,12 +20,14 @@ from homcat import (
     ChainMap,
     CochainComplex,
     Homotopy,
+    InvalidComplexError,
     Matrix,
     ShapeMismatchError,
     check_homotopy,
     check_homotopy_equivalence,
     cohomology,
     compose_chain_maps,
+    contraction,
     find_homotopy,
     identity_chain_map,
     induced_cohomology_map,
@@ -38,7 +46,12 @@ from randgen import (
     random_complex,
     random_homotopy,
     random_quasi_iso,
+    random_scalar,
+    standard_chain_map,
+    standard_complex,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def contractible(field):
@@ -213,6 +226,142 @@ def test_find_homotopy_agrees_with_enumeration():
             assert check_homotopy(f, g, found)
 
 
+def random_coh(rng, a, b):
+    """Random cohomology blocks for standard maps a -> b."""
+    return [
+        [[random_scalar(rng, a.complex.field) for _ in range(sa[1])] for _ in range(sb[1])]
+        for sa, sb in zip(a.splits, b.splits)
+    ]
+
+
+def random_standard_pair(rng, field, max_dim):
+    """Two standard complexes on degrees 0..3 with random ranks."""
+    out = []
+    for _ in range(2):
+        dims = [rng.randint(0, max_dim) for _ in range(4)]
+        ranks = []
+        for i in range(3):
+            room = min(dims[i] - (ranks[-1] if ranks else 0), dims[i + 1])
+            ranks.append(rng.randint(0, room))
+        out.append(standard_complex(rng, field, dims, ranks))
+    return out
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_find_homotopy_witnesses_perturbed_pairs(field):
+    rng = random.Random(51)
+    for _ in range(30):
+        a, b = random_standard_pair(rng, field, max_dim=4)
+        f = standard_chain_map(rng, a, b, random_coh(rng, a, b))
+        g = perturb_by_homotopy(f, random_homotopy(rng, a.complex, b.complex))
+        k = find_homotopy(f, g)
+        assert k is not None
+        assert check_homotopy(f, g, k)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_find_homotopy_none_when_cohomology_differs(field):
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(40):
+        a, b = random_standard_pair(rng, field, max_dim=4)
+        coh = random_coh(rng, a, b)
+        nonempty = [i for i, m in enumerate(coh) if m and m[0]]
+        if not nonempty:
+            continue
+        i = rng.choice(nonempty)
+        other = [[row[:] for row in m] for m in coh]
+        other[i][0][0] = field.add(field.coerce(other[i][0][0]), field.one())
+        f = standard_chain_map(rng, a, b, coh)
+        g = standard_chain_map(rng, a, b, other)
+        assert find_homotopy(f, g) is None
+        # equal cohomology blocks with fresh random blocks elsewhere
+        h = standard_chain_map(rng, a, b, coh)
+        k = find_homotopy(f, h)
+        assert k is not None and check_homotopy(f, h, k)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_find_homotopy_none_when_difference_is_not_a_chain_map(field):
+    rng = random.Random(55)
+    checked = 0
+    for _ in range(60):
+        a = random_complex(rng, field, max_dim=3)
+        b = random_complex(rng, field, max_dim=3)
+        f = random_chain_map(rng, a, b)
+        g = perturb_by_homotopy(f, random_homotopy(rng, a, b))
+        slots = [j for j, m in enumerate(g.components) if m.rows and m.cols]
+        if not slots:
+            continue
+        j = rng.choice(slots)
+        m = g.components[j]
+        e = list(m.entries)
+        spot = rng.randrange(len(e))
+        e[spot] = field.add(e[spot], field.one())
+        bumped = Matrix(m.rows, m.cols, tuple(e), field)
+        g = ChainMap(g.source, g.target, g.components[:j] + (bumped,) + g.components[j + 1 :])
+        # f is a chain map, so g - f is one exactly when g is
+        if validate_chain_map(g).ok:
+            continue
+        assert find_homotopy(f, g) is None
+        checked += 1
+    assert checked >= 10
+
+
+def test_find_homotopy_at_roadmap_size():
+    # dims (22, 24, 23, 23) over F5: about 1,600 homotopy entries
+    rng = random.Random(57)
+    dims = [22, 24, 23, 23]
+    a = standard_complex(rng, F5, dims, [9, 10, 9])
+    b = standard_complex(rng, F5, dims, [8, 11, 8])
+    coh = random_coh(rng, a, b)
+    f = standard_chain_map(rng, a, b, coh)
+    g = perturb_by_homotopy(f, random_homotopy(rng, a.complex, b.complex))
+    k = find_homotopy(f, g)
+    assert k is not None
+    assert check_homotopy(f, g, k)
+    coh[2][0][0] = (coh[2][0][0] + 1) % 5
+    assert find_homotopy(f, standard_chain_map(rng, a, b, coh)) is None
+
+
+def test_find_homotopy_rejects_invalid_complex():
+    d0 = Matrix.identity(F2, 2)
+    d1 = Matrix.from_rows(F2, [[1, 1]])
+    c = CochainComplex.create(F2, dims={0: 2, 1: 2, 2: 1}, diff={0: d0, 1: d1})
+    f = identity_chain_map(c)
+    with pytest.raises(InvalidComplexError):
+        find_homotopy(f, f)
+
+
+def test_find_homotopy_self_check_survives_optimize():
+    # under -O an assert would vanish; the witness check must still raise
+    code = textwrap.dedent(
+        """
+        import homcat.chainmaps as cm
+        from homcat import CochainComplex, FieldSpec, Matrix, identity_chain_map, zero_chain_map
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        F5 = FieldSpec.prime(5)
+        c = CochainComplex.create(F5, dims={0: 1, 1: 1}, diff={0: Matrix.identity(F5, 1)})
+        cm.check_homotopy = lambda f, g, k: False
+        try:
+            cm.find_homotopy(identity_chain_map(c), zero_chain_map(c, c))
+        except RuntimeError:
+            raise SystemExit(0)
+        raise SystemExit("find_homotopy returned without raising")
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # perturb_by_homotopy
 
 
@@ -301,6 +450,19 @@ def test_induced_functorial():
             assert induced_cohomology_map(gf, i) == mat_mul(
                 induced_cohomology_map(g, i), induced_cohomology_map(f, i)
             )
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=str)
+def test_induced_map_is_contraction_sandwich(field):
+    rng = random.Random(59)
+    for _ in range(30):
+        a = random_complex(rng, field, max_dim=3)
+        b = random_complex(rng, field, max_dim=3)
+        f = random_chain_map(rng, a, b)
+        for i in range(min(a.lo, b.lo) - 1, max(a.hi, b.hi) + 2):
+            image = mat_mul(f.component(i), contraction(a, i).incl)
+            sandwich = mat_mul(contraction(b, i).proj, image)
+            assert sandwich == induced_cohomology_map(f, i)
 
 
 # is_quasi_iso

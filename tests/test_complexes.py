@@ -1,4 +1,4 @@
-"""Complexes: validation, shift, direct sum, cohomology.
+"""Complexes: validation, shift, direct sum, cohomology, contraction data.
 
 The cohomology oracle for small F2 complexes enumerates every vector of
 the relevant spaces and counts cocycles and coboundaries literally.
@@ -15,9 +15,12 @@ from homcat import (
     Matrix,
     ShapeMismatchError,
     cohomology,
+    contraction,
     direct_sum_complex,
     is_acyclic,
+    mat_add,
     mat_mul,
+    mat_sub,
     shift,
     validate_complex,
 )
@@ -256,6 +259,55 @@ def test_cohomology_deterministic():
         assert s1.cocycle_basis == s2.cocycle_basis
         assert s1.rep_columns == s2.rep_columns
         assert s1.projection == s2.projection
+
+
+def test_cocycle_basis_is_identity_on_free_rows():
+    rng = random.Random(41)
+    for field in (F2, F5, Q):
+        for _ in range(20):
+            c = random_complex(rng, field)
+            for i in range(c.lo, c.hi + 1):
+                space = cohomology(c, i)
+                n = len(space.free_rows)
+                assert space.cocycle_basis.take_rows(space.free_rows) == Matrix.identity(field, n)
+
+
+# contraction
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=str)
+def test_contraction_retracts_onto_cohomology(field):
+    rng = random.Random(43)
+    zero_dims = 0
+    for _ in range(40):
+        c = random_complex(rng, field, max_dim=4)
+        # one degree past each end of the window as well
+        for i in range(c.lo - 1, c.hi + 2):
+            k = contraction(c, i)
+            h = cohomology(c, i).dim
+            n = c.dim(i)
+            zero_dims += n == 0
+            assert (k.incl.rows, k.incl.cols) == (n, h)
+            assert (k.proj.rows, k.proj.cols) == (h, n)
+            assert (k.htpy.rows, k.htpy.cols) == (c.dim(i - 1), n)
+            assert mat_mul(k.proj, k.incl) == Matrix.identity(field, h)
+            retract = mat_sub(Matrix.identity(field, n), mat_mul(k.incl, k.proj))
+            boundary = mat_add(
+                mat_mul(c.d(i - 1), k.htpy),
+                mat_mul(contraction(c, i + 1).htpy, c.d(i)),
+            )
+            assert retract == boundary
+    # the two off-window degrees of each complex give 80; the rest are
+    # zero-dimensional degrees inside a window
+    assert zero_dims > 80
+
+
+def test_contraction_requires_valid_complex():
+    d0 = Matrix.identity(F2, 2)
+    d1 = Matrix.from_rows(F2, [[1, 1]])
+    c = CochainComplex.create(F2, dims={0: 2, 1: 2, 2: 1}, diff={0: d0, 1: d1})
+    with pytest.raises(InvalidComplexError):
+        contraction(c, 2)
 
 
 def test_cohomology_requires_valid_complex():
