@@ -1,13 +1,20 @@
 """Chain maps, homotopies between them, and maps induced on cohomology.
 
-A chain map f: A -> B stores one component per degree where both
-complexes can be nonzero; every accessor synthesizes the forced zero
-matrix elsewhere, so values are canonical and compare by data equality.
+A chain map and a homotopy are the same kind of data: a graded map of
+degree r from A to B, a family of matrices A^i -> B^{i+r}.  ChainMap is
+the degree 0 case and Homotopy the degree -1 case of one frozen type.
+It stores one component per degree where both ends can be nonzero, and
+every accessor synthesizes the forced zero matrix elsewhere, so values
+are canonical and compare by data equality; a map never equals a
+homotopy, even with the same data.
 
-A homotopy k between maps A -> B drops degree by one: k^i goes from
-degree i of A to degree i-1 of B.  The identity it witnesses is
+In the Hom complex Hom(A, B) the differential of a homotopy k is
+D(k) = d_B k + k d_A, that is
 
-    g^i - f^i = d_B^{i-1} k^i + k^{i+1} d_A^i.
+    D(k)^i = d_B^{i-1} k^i + k^{i+1} d_A^i,
+
+and k witnesses f ~ g exactly when g = f + D(k).  perturb_by_homotopy
+computes f + D(k), and check_homotopy compares it with g.
 
 Over a field, g - f is null-homotopic exactly when it is a chain map
 that vanishes on cohomology.  find_homotopy decides that and builds a
@@ -17,9 +24,9 @@ complexes.contraction), degree by degree, with no linear system to solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from .complexes import CochainComplex, cohomology, contraction, shift
 from .errors import FieldMismatchError, InvalidChainMapError, ShapeMismatchError
@@ -45,21 +52,33 @@ __all__ = [
 ]
 
 
-def _storage_window(s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> range:
-    return range(max(s_lo, t_lo), min(s_hi, t_hi) + 1)
-
-
 @dataclass(frozen=True)
-class ChainMap:
-    """A degreewise map f: source -> target, components f^i stored canonically."""
+class _GradedMap:
+    """A graded map of degree ``degree``: components A^i -> B^{i+degree}.
+
+    One matrix is stored per degree of the storage ``window``, where both
+    A^i and B^{i+degree} lie inside their complexes' windows; everywhere
+    else the component is the forced zero matrix.
+    """
 
     source: CochainComplex
     target: CochainComplex
     components: tuple[Matrix, ...]
+    # the degrees i whose component is stored; derived, so not compared
+    window: range = dataclass_field(init=False, repr=False, compare=False)
+
+    degree: ClassVar[int]
+    _noun: ClassVar[str]
 
     def __post_init__(self) -> None:
         if self.source.field != self.target.field:
             raise FieldMismatchError(f"{self.source.field} vs {self.target.field}")
+        object.__setattr__(self, "window", self._window(self.source, self.target))
+
+    @classmethod
+    def _window(cls, source: CochainComplex, target: CochainComplex) -> range:
+        r = cls.degree
+        return range(max(source.lo, target.lo - r), min(source.hi, target.hi - r) + 1)
 
     @classmethod
     def create(
@@ -67,83 +86,50 @@ class ChainMap:
         source: CochainComplex,
         target: CochainComplex,
         components: Mapping[int, Matrix] | None = None,
-    ) -> "ChainMap":
+    ):
+        """Zero-fill the omitted window degrees and check every component's field and shape."""
         components = dict(components or {})
-        window = _storage_window(source.lo, source.hi, target.lo, target.hi)
+        r, noun = cls.degree, cls._noun
         mats = []
-        for i in window:
+        for i in cls._window(source, target):
+            rows, cols = target.dim(i + r), source.dim(i)
             m = components.pop(i, None)
             if m is None:
-                m = Matrix.zeros(source.field, target.dim(i), source.dim(i))
+                m = Matrix.zeros(source.field, rows, cols)
             if m.field != source.field:
-                raise FieldMismatchError(f"component at degree {i} over {m.field}")
-            if (m.rows, m.cols) != (target.dim(i), source.dim(i)):
+                raise FieldMismatchError(f"{noun} at degree {i} over {m.field}")
+            if (m.rows, m.cols) != (rows, cols):
                 raise ShapeMismatchError(
-                    f"component at degree {i} has shape {m.rows}x{m.cols}, "
-                    f"needs {target.dim(i)}x{source.dim(i)}"
+                    f"{noun} at degree {i} has shape {m.rows}x{m.cols}, needs {rows}x{cols}"
                 )
             mats.append(m)
         for i, m in components.items():
-            if (m.rows, m.cols) != (target.dim(i), source.dim(i)):
-                raise ShapeMismatchError(f"component at degree {i} does not fit")
+            if (m.rows, m.cols) != (target.dim(i + r), source.dim(i)):
+                raise ShapeMismatchError(f"{noun} at degree {i} does not fit")
         return cls(source, target, tuple(mats))
 
     def component(self, i: int) -> Matrix:
-        lo = max(self.source.lo, self.target.lo)
-        hi = min(self.source.hi, self.target.hi)
-        if lo <= i <= hi:
-            return self.components[i - lo]
-        return Matrix.zeros(self.source.field, self.target.dim(i), self.source.dim(i))
+        window = self.window
+        if i in window:
+            return self.components[i - window.start]
+        return Matrix.zeros(self.source.field, self.target.dim(i + self.degree), self.source.dim(i))
 
     def __repr__(self) -> str:
-        return f"ChainMap({self.source!r} -> {self.target!r})"
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """A degree -1 collection k: components k^i of shape target.dim(i-1) x source.dim(i)."""
+class ChainMap(_GradedMap):
+    """A degreewise map f: source -> target, components f^i: A^i -> B^i."""
 
-    source: CochainComplex
-    target: CochainComplex
-    components: tuple[Matrix, ...]
+    degree = 0
+    _noun = "component"
 
-    def __post_init__(self) -> None:
-        if self.source.field != self.target.field:
-            raise FieldMismatchError(f"{self.source.field} vs {self.target.field}")
 
-    @classmethod
-    def create(
-        cls,
-        source: CochainComplex,
-        target: CochainComplex,
-        components: Mapping[int, Matrix] | None = None,
-    ) -> "Homotopy":
-        components = dict(components or {})
-        window = _storage_window(source.lo, source.hi, target.lo + 1, target.hi + 1)
-        mats = []
-        for i in window:
-            m = components.pop(i, None)
-            if m is None:
-                m = Matrix.zeros(source.field, target.dim(i - 1), source.dim(i))
-            if m.field != source.field:
-                raise FieldMismatchError(f"homotopy component at degree {i} over {m.field}")
-            if (m.rows, m.cols) != (target.dim(i - 1), source.dim(i)):
-                raise ShapeMismatchError(
-                    f"homotopy component at degree {i} has shape {m.rows}x{m.cols}, "
-                    f"needs {target.dim(i - 1)}x{source.dim(i)}"
-                )
-            mats.append(m)
-        for i, m in components.items():
-            if (m.rows, m.cols) != (target.dim(i - 1), source.dim(i)):
-                raise ShapeMismatchError(f"homotopy component at degree {i} does not fit")
-        return cls(source, target, tuple(mats))
+class Homotopy(_GradedMap):
+    """A degree -1 map k: components k^i of shape target.dim(i-1) x source.dim(i)."""
 
-    def component(self, i: int) -> Matrix:
-        lo = max(self.source.lo, self.target.lo + 1)
-        hi = min(self.source.hi, self.target.hi + 1)
-        if lo <= i <= hi:
-            return self.components[i - lo]
-        return Matrix.zeros(self.source.field, self.target.dim(i - 1), self.source.dim(i))
+    degree = -1
+    _noun = "homotopy component"
 
 
 def identity_chain_map(c: CochainComplex) -> ChainMap:
@@ -181,35 +167,30 @@ def validate_chain_map(f: ChainMap) -> ChainMapValidation:
     return ChainMapValidation(True)
 
 
-def _require_valid_map(f: ChainMap) -> None:
+def _require_valid_map(f: ChainMap, what: str) -> None:
+    """Raise InvalidChainMapError naming ``what`` unless f commutes with the differentials."""
     report = validate_chain_map(f)
     if not report.ok:
-        raise InvalidChainMapError(f"square fails to commute at degree {report.degree}")
+        raise InvalidChainMapError(f"{what} fails to commute at degree {report.degree}")
 
 
 def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """The composite g∘f of f then g; middle complexes must be equal as data."""
     if f.target != g.source:
         raise ShapeMismatchError("middle objects of the composition differ")
-    comps = {}
-    for i in _storage_window(f.source.lo, f.source.hi, g.target.lo, g.target.hi):
-        comps[i] = mat_mul(g.component(i), f.component(i))
+    window = ChainMap._window(f.source, g.target)
+    comps = {i: mat_mul(g.component(i), f.component(i)) for i in window}
     return ChainMap.create(f.source, g.target, comps)
 
 
 def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
     """The shifted map f[n]: component at degree i is f^{i+n}; no extra sign."""
-    src = shift(f.source, n)
-    tgt = shift(f.target, n)
-    comps = {i: f.component(i + n) for i in _storage_window(src.lo, src.hi, tgt.lo, tgt.hi)}
-    return ChainMap.create(src, tgt, comps)
+    comps = {i - n: f.component(i) for i in f.window}
+    return ChainMap.create(shift(f.source, n), shift(f.target, n), comps)
 
 
 def negate_chain_map(f: ChainMap) -> ChainMap:
-    comps = {}
-    for i in _storage_window(f.source.lo, f.source.hi, f.target.lo, f.target.hi):
-        comps[i] = mat_neg(f.component(i))
-    return ChainMap.create(f.source, f.target, comps)
+    return ChainMap.create(f.source, f.target, {i: mat_neg(f.component(i)) for i in f.window})
 
 
 def _require_parallel(f: ChainMap, g: ChainMap) -> None:
@@ -218,20 +199,9 @@ def _require_parallel(f: ChainMap, g: ChainMap) -> None:
 
 
 def check_homotopy(f: ChainMap, g: ChainMap, k: Homotopy) -> bool:
-    """Does k witness g - f = d k + k d degree by degree?"""
+    """Does k witness g = f + D(k), that is g - f = d k + k d in every degree?"""
     _require_parallel(f, g)
-    s, t = f.source, f.target
-    if k.source != s or k.target != t:
-        raise ShapeMismatchError("homotopy does not connect the given complexes")
-    for i in range(min(s.lo, t.lo) - 1, max(s.hi, t.hi) + 1):
-        lhs = mat_sub(g.component(i), f.component(i))
-        rhs = mat_add(
-            mat_mul(t.d(i - 1), k.component(i)),
-            mat_mul(k.component(i + 1), s.d(i)),
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return perturb_by_homotopy(f, k) == g
 
 
 def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
@@ -254,15 +224,14 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     # fetching the contraction data first validates both complexes
     ca = {i: contraction(s, i) for i in degrees}
     cb = {i: contraction(t, i) for i in degrees}
-    window = _storage_window(s.lo, s.hi, t.lo, t.hi)
-    phi = ChainMap.create(s, t, {i: mat_sub(g.component(i), f.component(i)) for i in window})
-    # d k + k d is always a chain map, and it is zero on cohomology
+    phi = ChainMap.create(s, t, {i: mat_sub(g.component(i), f.component(i)) for i in f.window})
+    # D(k) = d k + k d is always a chain map, and it is zero on cohomology
     if not validate_chain_map(phi).ok:
         return None
-    if any(not induced_cohomology_map(phi, i).is_zero() for i in window):
+    if any(not induced_cohomology_map(phi, i).is_zero() for i in f.window):
         return None
     comps = {}
-    for i in range(max(s.lo, t.lo + 1), min(s.hi, t.hi + 1) + 1):
+    for i in Homotopy._window(s, t):
         # proj_B^{i-1} phi^{i-1} htpy_A^i: A^i -> H^{i-1}(B)
         to_cohomology = mat_mul(mat_mul(cb[i - 1].proj, phi.component(i - 1)), ca[i].htpy)
         comps[i] = mat_add(
@@ -276,12 +245,12 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
 
 
 def perturb_by_homotopy(f: ChainMap, k: Homotopy) -> ChainMap:
-    """The map f + d k + k d, homotopic to f by construction."""
+    """The map f + D(k) = f + d k + k d, homotopic to f by construction."""
     s, t = f.source, f.target
     if k.source != s or k.target != t:
         raise ShapeMismatchError("homotopy does not connect the given complexes")
     comps = {}
-    for i in _storage_window(s.lo, s.hi, t.lo, t.hi):
+    for i in f.window:
         comps[i] = mat_add(
             f.component(i),
             mat_add(
@@ -300,7 +269,7 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
     coordinates on its free rows, and projected onto the target's
     quotient basis: this is proj_B f^i incl_A of the contraction data.
     """
-    _require_valid_map(f)
+    _require_valid_map(f, "square")
     hs = cohomology(f.source, i)
     ht = cohomology(f.target, i)
     image = mat_mul(f.component(i), hs.representatives())
@@ -309,7 +278,6 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
 
 def is_quasi_iso(f: ChainMap) -> bool:
     """True when H^i(f) is square and invertible at every degree."""
-    _require_valid_map(f)
     lo = min(f.source.lo, f.target.lo)
     hi = max(f.source.hi, f.target.hi)
     for i in range(lo, hi + 1):

@@ -314,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         text = Path(args[1]).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"cannot read session file: {e}\n")
         return 2
     try:

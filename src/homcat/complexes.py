@@ -153,9 +153,6 @@ class CochainComplex:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def __repr__(self) -> str:
         spans = ", ".join(f"{i}:{self.dim(i)}" for i in self.degrees())
         return f"CochainComplex([{spans}] over {self.field})"
@@ -240,24 +237,14 @@ def _require_valid(c: CochainComplex) -> None:
 def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
     """H^i with the canonical basis data described in the module docstring."""
     _require_valid(c)
-    f = c.field
     red = rref(c.d(i))
-    zmat = red.kernel_basis()
     free = red.free_columns()
-    nz = len(free)
-    # the cocycle basis is the identity on the free rows
-    coords = c.d(i - 1).take_rows(free)
-    reduced, pivots = rref(transpose(coords))
-    pivot_set = set(pivots)
-    reps = tuple(j for j in range(nz) if j not in pivot_set)
-    h = len(reps)
-    flat = [f.zero()] * (h * nz)
-    for t, j in enumerate(reps):
-        flat[t * nz + j] = f.one()
-        for r, pc in enumerate(pivots):
-            flat[t * nz + pc] = f.neg(reduced[r, j])
-    projection = Matrix(h, nz, tuple(flat), f)
-    return CohomologySpace(i, h, zmat, reps, projection, free)
+    # the cocycle basis is the identity on the free rows, so coboundaries
+    # have coordinates d^{i-1} read there; the projection kills their span
+    coboundaries = rref(transpose(c.d(i - 1).take_rows(free)))
+    reps = coboundaries.free_columns()
+    projection = transpose(coboundaries.kernel_basis())
+    return CohomologySpace(i, len(reps), red.kernel_basis(), reps, projection, free)
 
 
 def _embed(m: Matrix, rows: Sequence[int], cols: Sequence[int], shape: tuple[int, int]) -> Matrix:

@@ -20,12 +20,12 @@ from typing import NamedTuple, Optional
 from .chainmaps import (
     ChainMap,
     Homotopy,
+    _require_valid_map,
     check_homotopy,
     compose_chain_maps,
     induced_cohomology_map,
     negate_chain_map,
     shift_chain_map,
-    validate_chain_map,
     zero_homotopy,
 )
 from .complexes import CochainComplex, shift
@@ -68,9 +68,7 @@ class Triangle:
 
 def mapping_cone(f: ChainMap) -> MappingCone:
     """The cone of a valid chain map plus its two structural maps."""
-    report = validate_chain_map(f)
-    if not report.ok:
-        raise InvalidChainMapError(f"cone input fails to commute at degree {report.degree}")
+    _require_valid_map(f, "cone input")
     a, b = f.source, f.target
     fld = a.field
     lo = min(a.lo - 1, b.lo)
@@ -167,9 +165,7 @@ def complete_triangle_morphism(
     if k1.target != f2.source or k2.target != f2.target:
         raise ShapeMismatchError("vertical maps do not land on the second map")
     for m in (f1, f2, k1, k2):
-        report = validate_chain_map(m)
-        if not report.ok:
-            raise InvalidChainMapError(f"input map fails to commute at degree {report.degree}")
+        _require_valid_map(m, "input map")
     left = compose_chain_maps(k1, f2)
     right = compose_chain_maps(f1, k2)
     if s is None:

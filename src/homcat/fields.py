@@ -57,10 +57,6 @@ class FieldSpec:
     def rational(cls) -> "FieldSpec":
         return cls("rational")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == "prime"
-
     def __str__(self) -> str:
         return f"F_{self.p}" if self.kind == "prime" else "Q"
 
@@ -103,11 +99,3 @@ class FieldSpec:
         if self.kind == "prime":
             return (-a) % self.p
         return -a
-
-    def inv(self, a):
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.kind == "prime":
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, -1, self.p)
-        return Fraction(1) / a

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 from .chainmaps import (
     ChainMap,
     Homotopy,
+    _require_valid_map,
     check_homotopy,
     compose_chain_maps,
     find_homotopy,
     identity_chain_map,
     is_quasi_iso,
-    validate_chain_map,
 )
 from .complexes import CochainComplex
-from .errors import InvalidChainMapError, NotQuasiIsoError, ShapeMismatchError
+from .errors import NotQuasiIsoError, ShapeMismatchError
 from .matrices import Matrix, block, mat_neg, mat_sub
 
 __all__ = [
@@ -193,9 +193,7 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
 
 def lift_map_to_roof(f: ChainMap) -> Roof:
     """A plain chain map as a roof with identity denominator."""
-    report = validate_chain_map(f)
-    if not report.ok:
-        raise InvalidChainMapError(f"lifted map fails to commute at degree {report.degree}")
+    _require_valid_map(f, "lifted map")
     return Roof(apex=f.source, denom=identity_chain_map(f.source), numer=f)
 
 

@@ -24,7 +24,9 @@ every window degree into ``dims``, so windows survive a round trip and
 
 Parsing is eager: every complex must satisfy d(d(x)) = 0, every map
 must commute with the differentials, and every roof denominator must be
-a quasi-isomorphism before any command runs.
+a quasi-isomorphism before any command runs.  The sizes a session
+declares are checked against MAX_DEGREES and MAX_ENTRIES before any
+matrix is built.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .chainmaps import ChainMap, Homotopy, validate_chain_map
+from .chainmaps import ChainMap, Homotopy, _require_valid_map
 from .complexes import CochainComplex, validate_complex
 from .errors import (
-    InvalidChainMapError,
     InvalidComplexError,
     NotQuasiIsoError,
     SessionSyntaxError,
@@ -61,6 +62,16 @@ __all__ = [
 _TOP_KEYS = ("field", "objects", "maps", "homotopies", "roofs")
 _DEGREE_RE = re.compile(r"0|-?[1-9][0-9]*")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+# Caps on the dense data a session makes the parser allocate, checked
+# before any matrix of it exists.  MAX_DEGREES bounds the window degrees
+# summed over all objects, maps and homotopies.  MAX_ENTRIES bounds the
+# matrix entries they imply: per object degree i, the differential
+# dim(i+1) x dim(i) plus dim(i) x dim(i) for the square matrices
+# (identities, kernel bases) that commands build there; per map and
+# homotopy, every component, zero-filled or not.
+MAX_DEGREES = 100_000
+MAX_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,23 @@ class SessionFile:
 # -- parsing -----------------------------------------------------------------
 
 
+class _Budget:
+    """Running totals of a session's declared size, checked against the caps."""
+
+    def __init__(self) -> None:
+        self.degrees = 0
+        self.entries = 0
+
+    def charge(self, where: str, degrees: int, entries: int) -> None:
+        self.degrees += degrees
+        self.entries += entries
+        if self.degrees > MAX_DEGREES or self.entries > MAX_ENTRIES:
+            raise SessionSyntaxError(
+                f"{where}: declares {degrees} degrees and {entries} matrix entries, taking "
+                f"the session over its cap of {MAX_DEGREES} degrees and {MAX_ENTRIES} entries"
+            )
+
+
 def _no_duplicate_pairs(pairs):
     out = {}
     for key, value in pairs:
@@ -126,10 +154,17 @@ def _parse_field(payload) -> FieldSpec:
     raise SessionSyntaxError(f"unknown field kind {kind!r}")
 
 
+def _parse_int(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits per integer
+        raise SessionSyntaxError(f"{where}: integer of {len(digits)} digits is too long") from None
+
+
 def _parse_degree(key, where: str) -> int:
     if not isinstance(key, str) or not _DEGREE_RE.fullmatch(key):
         raise SessionSyntaxError(f"{where}: degree keys must be canonical integers, got {key!r}")
-    return int(key)
+    return _parse_int(key, where)
 
 
 def _parse_scalar(fld: FieldSpec, value, where: str):
@@ -144,7 +179,7 @@ def _parse_scalar(fld: FieldSpec, value, where: str):
     if isinstance(value, str):
         m = _FRACTION_RE.fullmatch(value)
         if m:
-            num, den = int(m.group(1)), int(m.group(2))
+            num, den = _parse_int(m.group(1), where), _parse_int(m.group(2), where)
             if den != 0:
                 return Fraction(num, den)
         raise SessionSyntaxError(f"{where}: bad rational scalar {value!r}")
@@ -177,7 +212,7 @@ def _table(doc: dict, key: str) -> dict:
     return payload
 
 
-def _parse_complex(fld: FieldSpec, name: str, payload) -> CochainComplex:
+def _parse_complex(fld: FieldSpec, name: str, payload, budget: _Budget) -> CochainComplex:
     where = f"object {name!r}"
     if not isinstance(payload, dict) or not set(payload) <= {"dims", "diff"}:
         raise SessionSyntaxError(f"{where}: expected the keys 'dims' and optionally 'diff'")
@@ -191,9 +226,15 @@ def _parse_complex(fld: FieldSpec, name: str, payload) -> CochainComplex:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise SessionSyntaxError(f"{where}: dimension at degree {i} must be a nonnegative integer")
         dims[i] = value
+    diff_degrees = [_parse_degree(key, where) for key in diff_raw]
+    degrees = set(dims) | set(diff_degrees) | {i + 1 for i in diff_degrees}
+    budget.charge(
+        where,
+        max(degrees) - min(degrees) + 1 if degrees else 1,
+        sum(n * (n + dims.get(i + 1, 0)) for i, n in dims.items()),
+    )
     diff = {}
-    for key, value in diff_raw.items():
-        i = _parse_degree(key, where)
+    for i, value in zip(diff_degrees, diff_raw.values()):
         diff[i] = _parse_matrix(fld, value, f"{where} diff {i}")
     try:
         return CochainComplex.create(fld, dims, diff)
@@ -209,23 +250,16 @@ def _resolve(table: dict, ref, kind: str, where: str):
     return table[ref]
 
 
-def _parse_components(fld: FieldSpec, payload, where: str) -> dict[int, Matrix]:
-    raw = payload.get("components", {})
-    if not isinstance(raw, dict):
-        raise SessionSyntaxError(f"{where}: 'components' must be an object")
-    comps = {}
-    for key, value in raw.items():
-        i = _parse_degree(key, where)
-        comps[i] = _parse_matrix(fld, value, f"{where} component {i}")
-    return comps
-
-
 def parse_session(text: str) -> SessionFile:
     """Parse and fully validate a session document."""
     try:
         doc = json.loads(text, object_pairs_hook=_no_duplicate_pairs)
     except json.JSONDecodeError as e:
         raise SessionSyntaxError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise SessionSyntaxError("JSON nesting is too deep") from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise SessionSyntaxError(str(e)) from None
     if not isinstance(doc, dict):
         raise SessionSyntaxError("top level must be an object")
     unknown = set(doc) - set(_TOP_KEYS)
@@ -235,9 +269,10 @@ def parse_session(text: str) -> SessionFile:
         raise SessionSyntaxError("missing required key 'field'")
     fld = _parse_field(doc["field"])
 
+    budget = _Budget()
     objects: dict[str, CochainComplex] = {}
     for name, payload in _table(doc, "objects").items():
-        objects[name] = _parse_complex(fld, name, payload)
+        objects[name] = _parse_complex(fld, name, payload, budget)
     for name, complex_ in objects.items():
         report = validate_complex(complex_)
         if not report.ok:
@@ -246,41 +281,35 @@ def parse_session(text: str) -> SessionFile:
             )
 
     maps: dict[str, MapEntry] = {}
-    for name, payload in _table(doc, "maps").items():
-        where = f"map {name!r}"
-        if not isinstance(payload, dict) or not set(payload) <= {"from", "to", "components"}:
-            raise SessionSyntaxError(f"{where}: expected 'from', 'to' and optional 'components'")
-        if "from" not in payload or "to" not in payload:
-            raise SessionSyntaxError(f"{where}: both 'from' and 'to' are required")
-        source = _resolve(objects, payload["from"], "object", where)
-        target = _resolve(objects, payload["to"], "object", where)
-        comps = _parse_components(fld, payload, where)
-        try:
-            value = ChainMap.create(source, target, comps)
-        except ShapeMismatchError as e:
-            raise ShapeMismatchError(f"{where}: {e}") from None
-        report = validate_chain_map(value)
-        if not report.ok:
-            raise InvalidChainMapError(
-                f"{where}: square fails to commute at degree {report.degree}"
-            )
-        maps[name] = MapEntry(payload["from"], payload["to"], value)
-
     homotopies: dict[str, HomotopyEntry] = {}
-    for name, payload in _table(doc, "homotopies").items():
-        where = f"homotopy {name!r}"
-        if not isinstance(payload, dict) or not set(payload) <= {"from", "to", "components"}:
-            raise SessionSyntaxError(f"{where}: expected 'from', 'to' and optional 'components'")
-        if "from" not in payload or "to" not in payload:
-            raise SessionSyntaxError(f"{where}: both 'from' and 'to' are required")
-        source = _resolve(objects, payload["from"], "object", where)
-        target = _resolve(objects, payload["to"], "object", where)
-        comps = _parse_components(fld, payload, where)
-        try:
-            value = Homotopy.create(source, target, comps)
-        except ShapeMismatchError as e:
-            raise ShapeMismatchError(f"{where}: {e}") from None
-        homotopies[name] = HomotopyEntry(payload["from"], payload["to"], value)
+    for section, kind, cls, entry, table in (
+        ("maps", "map", ChainMap, MapEntry, maps),
+        ("homotopies", "homotopy", Homotopy, HomotopyEntry, homotopies),
+    ):
+        for name, payload in _table(doc, section).items():
+            where = f"{kind} {name!r}"
+            if not isinstance(payload, dict) or not set(payload) <= {"from", "to", "components"}:
+                raise SessionSyntaxError(f"{where}: expected 'from', 'to' and optional 'components'")
+            if "from" not in payload or "to" not in payload:
+                raise SessionSyntaxError(f"{where}: both 'from' and 'to' are required")
+            source = _resolve(objects, payload["from"], "object", where)
+            target = _resolve(objects, payload["to"], "object", where)
+            raw = payload.get("components", {})
+            if not isinstance(raw, dict):
+                raise SessionSyntaxError(f"{where}: 'components' must be an object")
+            comps = {}
+            for degree, rows in raw.items():
+                i = _parse_degree(degree, where)
+                comps[i] = _parse_matrix(fld, rows, f"{where} component {i}")
+            window = cls._window(source, target)
+            budget.charge(where, len(window), sum(target.dim(i + cls.degree) * source.dim(i) for i in window))
+            try:
+                value = cls.create(source, target, comps)
+            except ShapeMismatchError as e:
+                raise ShapeMismatchError(f"{where}: {e}") from None
+            if cls is ChainMap:
+                _require_valid_map(value, f"{where}: square")
+            table[name] = entry(payload["from"], payload["to"], value)
 
     roofs: dict[str, RoofEntry] = {}
     for name, payload in _table(doc, "roofs").items():
@@ -335,25 +364,12 @@ def _complex_payload(c: CochainComplex):
     return payload
 
 
-def _map_payload(entry: MapEntry):
+def _graded_payload(entry: MapEntry | HomotopyEntry):
     payload = {"from": entry.source, "to": entry.target}
     f = entry.value
     comps = {}
-    for i in range(max(f.source.lo, f.target.lo), min(f.source.hi, f.target.hi) + 1):
+    for i in f.window:
         m = f.component(i)
-        if m.rows > 0 and m.cols > 0:
-            comps[str(i)] = matrix_payload(m)
-    if comps:
-        payload["components"] = comps
-    return payload
-
-
-def _homotopy_payload(entry: HomotopyEntry):
-    payload = {"from": entry.source, "to": entry.target}
-    k = entry.value
-    comps = {}
-    for i in range(max(k.source.lo, k.target.lo + 1), min(k.source.hi, k.target.hi + 1) + 1):
-        m = k.component(i)
         if m.rows > 0 and m.cols > 0:
             comps[str(i)] = matrix_payload(m)
     if comps:
@@ -366,8 +382,8 @@ def emit_session(session: SessionFile) -> str:
     doc = {
         "field": _field_payload(session.field),
         "objects": {name: _complex_payload(c) for name, c in session.objects.items()},
-        "maps": {name: _map_payload(e) for name, e in session.maps.items()},
-        "homotopies": {name: _homotopy_payload(e) for name, e in session.homotopies.items()},
+        "maps": {name: _graded_payload(e) for name, e in session.maps.items()},
+        "homotopies": {name: _graded_payload(e) for name, e in session.homotopies.items()},
         "roofs": {name: {"denom": e.denom, "numer": e.numer} for name, e in session.roofs.items()},
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -150,6 +150,43 @@ def test_compose_rejects_mismatched_middle():
         compose_chain_maps(zero_chain_map(a, a), zero_chain_map(b, b))
 
 
+# maps and homotopies: the degree 0 and -1 cases of one graded type
+
+
+def point_and_two_step(field):
+    """A point in degree 0, and points in degrees -1 and 0 with zero differential.
+
+    Maps and homotopies between them both have the storage window {0}
+    and 1 x 1 components there.
+    """
+    a = CochainComplex.create(field, dims={0: 1})
+    b = CochainComplex.create(field, dims={-1: 1, 0: 1})
+    return a, b
+
+
+def test_map_and_homotopy_with_equal_data_differ():
+    a, b = point_and_two_step(F5)
+    comps = {0: Matrix.identity(F5, 1)}
+    f = ChainMap.create(a, b, comps)
+    k = Homotopy.create(a, b, comps)
+    assert (f.source, f.target, f.components) == (k.source, k.target, k.components)
+    assert f != k and k != f
+    assert f == ChainMap.create(a, b, comps)
+    assert k == Homotopy.create(a, b, comps)
+
+
+@pytest.mark.parametrize("cls, noun", [(ChainMap, "component"), (Homotopy, "homotopy component")])
+def test_shape_errors_name_the_component_kind(cls, noun):
+    a, b = point_and_two_step(F5)
+    wrong = Matrix.zeros(F5, 2, 1)
+    with pytest.raises(ShapeMismatchError) as info:
+        cls.create(a, b, {0: wrong})
+    assert str(info.value) == f"{noun} at degree 0 has shape 2x1, needs 1x1"
+    with pytest.raises(ShapeMismatchError) as info:
+        cls.create(a, b, {5: wrong})
+    assert str(info.value) == f"{noun} at degree 5 does not fit"
+
+
 # check_homotopy
 
 
@@ -158,6 +195,73 @@ def test_zero_homotopy_relates_equal_maps():
     a, b = random_complex(rng, F5), random_complex(rng, F5)
     f = random_chain_map(rng, a, b)
     assert check_homotopy(f, f, zero_homotopy(a, b))
+
+
+def degreewise_homotopy_check(f, g, k):
+    """g^i - f^i = d_B^{i-1} k^i + k^{i+1} d_A^i at every degree of the hull, on row lists."""
+    s, t = f.source, f.target
+    fld = s.field
+
+    def mul(x, y):
+        out = [[fld.zero()] * y.cols for _ in range(x.rows)]
+        for r in range(x.rows):
+            for c in range(y.cols):
+                for j in range(x.cols):
+                    out[r][c] = fld.add(out[r][c], fld.mul(x[r, j], y[j, c]))
+        return out
+
+    for i in range(min(s.lo, t.lo) - 1, max(s.hi, t.hi) + 2):
+        gi, fi = g.component(i), f.component(i)
+        lhs = [[fld.sub(gi[r, c], fi[r, c]) for c in range(gi.cols)] for r in range(gi.rows)]
+        dk = mul(t.d(i - 1), k.component(i))
+        kd = mul(k.component(i + 1), s.d(i))
+        rhs = [[fld.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(dk, kd)]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def corrupt_one_entry(rng, m):
+    """m with one entry of one nonempty component moved by 1, or m if all are empty."""
+    fld = m.source.field
+    nonempty = [i for i in m.window if m.component(i).rows and m.component(i).cols]
+    if not nonempty:
+        return m
+    i = rng.choice(nonempty)
+    rows = m.component(i).to_rows()
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[r][c] = fld.add(rows[r][c], fld.one())
+    comps = {j: m.component(j) for j in m.window}
+    comps[i] = Matrix.from_rows(fld, rows)
+    return type(m).create(m.source, m.target, comps)
+
+
+def test_check_homotopy_agrees_with_degreewise_evaluation():
+    rng = random.Random(17)
+    verdicts = []
+    one_sided_degrees = 0
+    for field in (F2, F5, Q):
+        for trial in range(40):
+            a = random_complex(rng, field, max_dim=3)
+            b = random_complex(rng, field, max_dim=3)
+            f = random_chain_map(rng, a, b)
+            k = random_homotopy(rng, a, b)
+            g = perturb_by_homotopy(f, k)
+            kind = trial % 4
+            if kind == 1:
+                g = corrupt_one_entry(rng, g)
+            elif kind == 2:
+                k = corrupt_one_entry(rng, k)
+            elif kind == 3:
+                g = random_chain_map(rng, a, b)
+            verdict = check_homotopy(f, g, k)
+            assert verdict == degreewise_homotopy_check(f, g, k), (field, trial)
+            verdicts.append(verdict)
+            hull = range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
+            one_sided_degrees += sum((a.dim(i) > 0) != (b.dim(i) > 0) for i in hull)
+    assert len(verdicts) >= 100
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+    assert one_sided_degrees >= 50
 
 
 def test_contraction_of_two_term_complex():

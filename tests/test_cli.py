@@ -4,11 +4,15 @@ Most tests call main() in process; one subprocess test confirms the
 installed console script wires up to the same entry point.
 """
 
+import copy
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homcat import (
     CochainComplex,
@@ -326,3 +330,180 @@ def test_stdout_stderr_separation(capsys, session_file):
     code, out, err = run(capsys, "qis", session_file, "ghost")
     assert out == ""
     assert err != ""
+
+
+# hostile input: exit 2 with the error class on stderr, never a traceback
+
+
+def run_hostile(capsys, tmp_path, content):
+    path = tmp_path / "hostile.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    return err, peak
+
+
+def test_non_utf8_file_cannot_be_read(capsys, tmp_path):
+    err, _ = run_hostile(capsys, tmp_path, b'{"field": "\xff\xfe"}')
+    assert "cannot read session file" in err
+    assert "utf-8" in err
+
+
+def test_deeply_nested_json_is_a_syntax_error(capsys, tmp_path):
+    depth = 200_000
+    err, _ = run_hostile(capsys, tmp_path, '{"field": ' + "[" * depth + "]" * depth + "}")
+    assert err.startswith("SessionSyntaxError:")
+
+
+def test_huge_dims_refused_before_allocation(capsys, tmp_path):
+    text = '{"field": {"kind": "prime", "p": 5}, "objects": {"A": {"dims": {"0": 200000, "1": 200000}}}}'
+    assert len(text) == 92
+    err, peak = run_hostile(capsys, tmp_path, text)
+    assert err.startswith("SessionSyntaxError: object 'A':")
+    assert peak < 2**20
+
+
+def test_wide_window_refused_before_allocation(capsys, tmp_path):
+    text = '{"field": {"kind": "prime", "p": 5}, "objects": {"A": {"dims": {"0": 1, "100000000": 1}}}}'
+    err, peak = run_hostile(capsys, tmp_path, text)
+    assert err.startswith("SessionSyntaxError: object 'A':")
+    assert peak < 2**20
+
+
+def test_zero_filled_components_count_toward_the_cap(capsys, tmp_path):
+    # the object fits; each zero-filled 1500 x 1500 component takes the same again
+    session = {
+        "field": {"kind": "prime", "p": 5},
+        "objects": {"A": {"dims": {"0": 1500}}},
+        "maps": {"z": {"from": "A", "to": "A"}},
+        "homotopies": {"k": {"from": "A", "to": "A"}},
+    }
+    err, peak = run_hostile(capsys, tmp_path, json.dumps(session))
+    assert err.startswith("SessionSyntaxError: map 'z':")
+    assert peak < 2**20
+    # 2 x 1200^2 entries of objects fit, and the homotopy A^0 -> B^-1 takes them over
+    del session["maps"]
+    session["objects"] = {"A": {"dims": {"0": 1200}}, "B": {"dims": {"-1": 1200}}}
+    session["homotopies"]["k"]["to"] = "B"
+    err, peak = run_hostile(capsys, tmp_path, json.dumps(session))
+    assert err.startswith("SessionSyntaxError: homotopy 'k':")
+    assert peak < 2**20
+
+
+# fuzzing the exit-code contract
+
+
+FUZZ_SESSION = copy.deepcopy(SESSION)
+FUZZ_SESSION["homotopies"]["k"] = {"from": "A", "to": "A", "components": {"1": [[1]]}}
+
+# one invocation of every command, on names of FUZZ_SESSION
+FUZZ_INVOCATIONS = [
+    ("validate",),
+    ("cohomology", "A"),
+    ("shift", "A", "1"),
+    ("cone", "idA"),
+    ("les", "idA"),
+    ("homotopic", "idA", "zA"),
+    ("qis", "zA"),
+    ("flip", "idP", "idP"),
+    ("compose", "rid", "rz"),
+    ("roof-equiv", "rid", "rid", "--witness", "P", "idP", "idP", "idP", "idP"),
+    ("lift", "zA"),
+]
+
+
+class _Obj(list):
+    """A JSON object as an ordered list of [key, value] pairs; keys may repeat."""
+
+
+class _Raw(str):
+    """JSON text emitted verbatim."""
+
+
+def _to_pairs(value):
+    if isinstance(value, dict):
+        return _Obj([k, _to_pairs(v)] for k, v in value.items())
+    if isinstance(value, list):
+        return [_to_pairs(v) for v in value]
+    return value
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, _Obj):
+        return "{" + ", ".join(json.dumps(k) + ": " + _dump(v) for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+_HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([-1, 2**31 - 1, 2**31, 2**63, 10**30]),
+    st.text(max_size=4),
+    st.sampled_from(["1/0", "1/2", "-3/4", "A", "idA", "1/" + "9" * 5000]),
+    st.sampled_from([1, 50, 900, 5000, 200_000]).map(lambda n: _Raw("[" * n + "]" * n)),
+    st.sampled_from([20, 5000]).map(lambda n: _Raw("9" * n)),
+    st.sampled_from([_Obj(), [], [[1]], [[1, 2], [3]]]).map(copy.deepcopy),
+)
+_HOSTILE_KEYS = st.sampled_from(
+    ["01", "+1", " 1", "-0", "1.0", "", "1e3", "-3", "99999999999", "9" * 5000, "from", "dims"]
+)
+
+
+@st.composite
+def mutated_sessions(draw):
+    """FUZZ_SESSION with one to three keys or values dropped, duplicated or replaced."""
+    doc = _to_pairs(FUZZ_SESSION)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            children = [v for _, v in node] if isinstance(node, _Obj) else node
+            containers = [c for c in children if isinstance(c, list) and c]
+            # stop at three nodes in four, so most mutations sit below the top level
+            if not containers or draw(st.integers(0, 3)) == 0:
+                break
+            node = draw(st.sampled_from(containers))
+        j = draw(st.integers(0, len(node) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace", "rekey"]))
+        if op == "drop":
+            del node[j]
+        elif op == "duplicate":
+            node.insert(j, copy.deepcopy(node[j]))
+        elif isinstance(node, _Obj):
+            node[j][0 if op == "rekey" else 1] = draw(_HOSTILE_KEYS if op == "rekey" else _HOSTILE_VALUES)
+        else:
+            node[j] = draw(_HOSTILE_VALUES)
+        if not doc:
+            break
+    return _dump(doc)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(text=mutated_sessions(), invocation=st.sampled_from(FUZZ_INVOCATIONS))
+def test_fuzzed_sessions_keep_the_exit_code_contract(capsys, tmp_path, text, invocation):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text)
+    command, *args = invocation
+    code, out, err = run(capsys, command, str(path), *args)
+    assert code in (0, 1, 2)

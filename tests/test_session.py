@@ -247,6 +247,24 @@ def test_ragged_matrix_rejected():
         parse_session(text)
 
 
+def test_component_shape_errors_name_the_entry():
+    from homcat import ShapeMismatchError
+
+    objects = {"A": {"dims": {"0": 1, "1": 1}, "diff": {"0": [[1]]}}}
+    text = session_text(
+        objects=objects, maps={"f": {"from": "A", "to": "A", "components": {"0": [[1, 2]]}}}
+    )
+    with pytest.raises(ShapeMismatchError) as info:
+        parse_session(text)
+    assert str(info.value) == "map 'f': component at degree 0 has shape 1x2, needs 1x1"
+    text = session_text(
+        objects=objects, homotopies={"k": {"from": "A", "to": "A", "components": {"1": [[1, 2]]}}}
+    )
+    with pytest.raises(ShapeMismatchError) as info:
+        parse_session(text)
+    assert str(info.value) == "homotopy 'k': homotopy component at degree 1 has shape 1x2, needs 1x1"
+
+
 def test_wrong_shape_is_a_distinct_error_class():
     from homcat import ShapeMismatchError
 
@@ -313,6 +331,28 @@ def test_round_trip_bytes(field):
         once = emit_session(s)
         again = emit_session(parse_session(once))
         assert once == again
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=str)
+def test_round_trip_bytes_with_offset_map_and_homotopy_windows(field):
+    # A spans [1, 3] and B spans [0, 2]: maps store degrees 1..2, homotopies 1..3
+    rng = random.Random(47)
+    for _ in range(5):
+        a = random_complex(rng, field, lo=1, hi=3, min_width=3, max_width=3)
+        b = random_complex(rng, field, lo=0, hi=2, min_width=3, max_width=3)
+        f = random_chain_map(rng, a, b)
+        k = random_homotopy(rng, a, b)
+        assert (f.window, k.window) == (range(1, 3), range(1, 4))
+        s = SessionFile(
+            field,
+            {"A": a, "B": b},
+            maps={"f": MapEntry("A", "B", f)},
+            homotopies={"k": HomotopyEntry("A", "B", k)},
+        )
+        once = emit_session(s)
+        back = parse_session(once)
+        assert (back.maps["f"].value, back.homotopies["k"].value) == (f, k)
+        assert emit_session(back) == once
 
 
 def test_round_trip_values():
