@@ -4,7 +4,9 @@ Usage: ``homcat COMMAND SESSION-FILE [ARGS...]``.  Verdict commands print
 a small JSON report; constructive commands print a complete session
 fragment that parses on its own, so outputs can be piped into files and
 fed straight back in.  Exit codes: 0 for success or a true verdict, 1
-for a well-formed false or "none" verdict, 2 for any input error.
+for a well-formed false or "none" verdict, 2 for any input error, 3 for
+an internal fault (any exception that is not a HomcatError), reported in
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ commands:
                                       verify a roof equivalence witness
   lift FILE MAP                       present a plain map as a roof
 
-exit codes: 0 success or true, 1 well-formed false or none, 2 input error
+exit codes: 0 success or true, 1 well-formed false or none, 2 input error,
+            3 internal error
 """
 
 
@@ -105,7 +108,9 @@ def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
         space = cohomology(c, i)
         entry = {"dim": space.dim}
         if space.dim > 0:
-            entry["representatives"] = matrix_payload(space.representatives())
+            entry["representatives"] = matrix_payload(
+                space.representatives(), f"object {name!r} representatives at degree {i}"
+            )
         table[str(i)] = entry
     return CommandResult(
         _report({"command": "cohomology", "object": name, "cohomology": table}), 0
@@ -323,6 +328,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HomcatError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
+    except Exception as e:  # a fault of homcat itself, not of the input
+        detail = " ".join(str(e).split())[:200]
+        sys.stderr.write(f"internal error: {type(e).__name__}: {detail}\n")
+        return 3
     sys.stdout.write(result.output)
     return result.exit_code
 

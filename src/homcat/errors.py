@@ -3,8 +3,9 @@
 Every class below signals a problem with the caller's input.  Internal
 logic faults (a self-check of a construction that fails, a witness that
 does not check) are raised as plain RuntimeError, never through assert,
-so they still run under ``python -O``; the CLI's input-error handling
-never catches them.
+so they still run under ``python -O``.  The CLI exits 2 on a HomcatError
+and 3 on any other exception (RuntimeError, MemoryError, ...), printing
+one line to stderr and no traceback.
 """
 
 

@@ -3,16 +3,27 @@
 Storage is row-major in a flat tuple, so Matrix values are immutable and
 hashable.  Empty shapes (0 x n, n x 0) are first class.  Reduction is
 Gauss-Jordan with deterministic pivoting: leftmost pivot column, first
-nonzero row.  Prime-field reductions and products run on int64 numpy
-arrays; with p < 2^31 every intermediate value of an elimination step is
-below 2^63 in magnitude, so the fast path is still exact integer
-arithmetic.  Rational matrices take the pure-Python path with Fraction
-entries.
+nonzero row.  Prime-field reductions run on int64 numpy arrays; with
+p < 2^31 every intermediate value of an elimination step is below 2^63
+in magnitude, so the fast path is still exact integer arithmetic.
+Rational reductions run on Fraction entries.
+
+Every matrix has a canonical integer form (D, ints), computed once on
+first use: entries == ints / D, where D is the least common denominator
+over Q and D = 1 with ints = entries over F_p.  Equality, hashing and
+is_zero read it and never touch a Fraction, so a cache keyed by a
+matrix pays for the hash once.  Products multiply integers and reduce
+once per output entry (delayed reduction, as in FFLAS-FFPACK): int64
+numpy while n(p-1)^2 < 2^63, else Python integers, then % p, or one
+Fraction(x, D_a D_b) per entry over Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """An exact rows x cols matrix over ``field``, entries flat and row-major."""
 
@@ -46,6 +57,11 @@ class Matrix:
     cols: int
     entries: tuple
     field: FieldSpec
+    # caches of the integer form and of the hash, filled on first use; the
+    # hash covers ints only (never the FieldSpec, whose str hash is salted
+    # per process), so a pickled cached hash stays valid
+    _form: Optional[tuple] = dataclass_field(default=None, init=False, compare=False, repr=False)
+    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -115,9 +131,39 @@ class Matrix:
         flat = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in which)
         return Matrix(self.rows, len(which), flat, self.field)
 
+    def int_form(self) -> tuple[int, tuple]:
+        """The canonical (D, ints) with entries == ints / D; see the module docstring."""
+        form = self._form
+        if form is None:
+            if self.field.kind == "prime":
+                form = (1, self.entries)
+            else:
+                den = lcm(*(x.denominator for x in self.entries))
+                form = (den, tuple(x.numerator * (den // x.denominator) for x in self.entries))
+            object.__setattr__(self, "_form", form)
+        return form
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.int_form() == other.int_form()
+            and (self.field is other.field or self.field == other.field)
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, self.field.p or 0, self.int_form()))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for x in self.entries)
+        return not any(self.int_form()[1])
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
@@ -253,23 +299,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeMismatchError(f"mul {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     f = a.field
-    if f.kind == "prime":
-        p = f.p
-        # the int64 dot is exact only while the accumulated sum cannot
-        # reach 2^63; otherwise fall through to Python bignums
-        if a.cols * (p - 1) * (p - 1) < 2**63:
-            prod = (_np_of(a) @ _np_of(b)) % p
-            return _of_np(prod, f)
-    flat = []
-    n = a.cols
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = f.zero()
-            for k in range(n):
-                acc = f.add(acc, f.mul(arow[k], b.entries[k * b.cols + j]))
-            flat.append(acc)
-    return Matrix(a.rows, b.cols, tuple(flat), f)
+    p = f.p
+    # the int64 dot is exact only while the accumulated sum cannot reach
+    # 2^63; otherwise multiply Python integers
+    if p is not None and a.cols * (p - 1) * (p - 1) < 2**63:
+        return _of_np((_np_of(a) @ _np_of(b)) % p, f)
+    da, ai = a.int_form()
+    db, bi = b.int_form()
+    n, m = a.cols, b.cols
+    bcols = [bi[j::m] for j in range(m)]
+    sums = [sum(map(mul, ai[i * n : (i + 1) * n], col)) for i in range(a.rows) for col in bcols]
+    if p is not None:
+        return Matrix(a.rows, b.cols, tuple(x % p for x in sums), f)
+    den = da * db
+    return Matrix(a.rows, b.cols, tuple(Fraction(x, den) for x in sums), f)
 
 
 # -- reduction and solvers ---------------------------------------------------

@@ -26,7 +26,9 @@ Parsing is eager: every complex must satisfy d(d(x)) = 0, every map
 must commute with the differentials, and every roof denominator must be
 a quasi-isomorphism before any command runs.  The sizes a session
 declares are checked against MAX_DEGREES and MAX_ENTRIES before any
-matrix is built.
+matrix is built.  Emission raises SessionSyntaxError, naming the matrix,
+on a rational scalar with more digits than parsing accepts, so homcat
+never writes a file it would refuse to read.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 MAX_DEGREES = 100_000
 MAX_ENTRIES = 4_000_000
 
+# the longest quote of an offending value in an error message
+_QUOTE_LIMIT = 60
+
 
 @dataclass(frozen=True)
 class MapEntry:
@@ -107,6 +112,12 @@ class SessionFile:
 # -- parsing -----------------------------------------------------------------
 
 
+def _show(value) -> str:
+    """The repr of ``value`` for an error message, clipped to _QUOTE_LIMIT characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
+
+
 class _Budget:
     """Running totals of a session's declared size, checked against the caps."""
 
@@ -128,7 +139,7 @@ def _no_duplicate_pairs(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise SessionSyntaxError(f"duplicate key {key!r}")
+            raise SessionSyntaxError(f"duplicate key {_show(key)}")
         out[key] = value
     return out
 
@@ -142,16 +153,16 @@ def _parse_field(payload) -> FieldSpec:
             raise SessionSyntaxError("prime field takes exactly the keys 'kind' and 'p'")
         p = payload["p"]
         if isinstance(p, bool) or not isinstance(p, int):
-            raise SessionSyntaxError(f"field modulus must be an integer, got {p!r}")
+            raise SessionSyntaxError(f"field modulus must be an integer, got {_show(p)}")
         try:
             return FieldSpec.prime(p)
-        except ValueError as e:
-            raise SessionSyntaxError(str(e)) from None
+        except ValueError:
+            raise SessionSyntaxError(f"field modulus {_show(p)} is not a prime in [2, 2^31)") from None
     if kind == "rational":
         if set(payload) != {"kind"}:
             raise SessionSyntaxError("rational field takes exactly the key 'kind'")
         return FieldSpec.rational()
-    raise SessionSyntaxError(f"unknown field kind {kind!r}")
+    raise SessionSyntaxError(f"unknown field kind {_show(kind)}")
 
 
 def _parse_int(digits: str, where: str) -> int:
@@ -163,16 +174,16 @@ def _parse_int(digits: str, where: str) -> int:
 
 def _parse_degree(key, where: str) -> int:
     if not isinstance(key, str) or not _DEGREE_RE.fullmatch(key):
-        raise SessionSyntaxError(f"{where}: degree keys must be canonical integers, got {key!r}")
+        raise SessionSyntaxError(f"{where}: degree keys must be canonical integers, got {_show(key)}")
     return _parse_int(key, where)
 
 
 def _parse_scalar(fld: FieldSpec, value, where: str):
     if isinstance(value, bool) or isinstance(value, float):
-        raise SessionSyntaxError(f"{where}: not an exact scalar: {value!r}")
+        raise SessionSyntaxError(f"{where}: not an exact scalar: {_show(value)}")
     if fld.kind == "prime":
         if not isinstance(value, int):
-            raise SessionSyntaxError(f"{where}: expected an integer scalar, got {value!r}")
+            raise SessionSyntaxError(f"{where}: expected an integer scalar, got {_show(value)}")
         return value % fld.p
     if isinstance(value, int):
         return Fraction(value)
@@ -182,8 +193,8 @@ def _parse_scalar(fld: FieldSpec, value, where: str):
             num, den = _parse_int(m.group(1), where), _parse_int(m.group(2), where)
             if den != 0:
                 return Fraction(num, den)
-        raise SessionSyntaxError(f"{where}: bad rational scalar {value!r}")
-    raise SessionSyntaxError(f"{where}: expected an integer or 'a/b' string, got {value!r}")
+        raise SessionSyntaxError(f"{where}: bad rational scalar {_show(value)}")
+    raise SessionSyntaxError(f"{where}: expected an integer or 'a/b' string, got {_show(value)}")
 
 
 def _parse_matrix(fld: FieldSpec, value, where: str) -> Matrix:
@@ -213,7 +224,7 @@ def _table(doc: dict, key: str) -> dict:
 
 
 def _parse_complex(fld: FieldSpec, name: str, payload, budget: _Budget) -> CochainComplex:
-    where = f"object {name!r}"
+    where = f"object {_show(name)}"
     if not isinstance(payload, dict) or not set(payload) <= {"dims", "diff"}:
         raise SessionSyntaxError(f"{where}: expected the keys 'dims' and optionally 'diff'")
     dims_raw = payload.get("dims", {})
@@ -244,9 +255,9 @@ def _parse_complex(fld: FieldSpec, name: str, payload, budget: _Budget) -> Cocha
 
 def _resolve(table: dict, ref, kind: str, where: str):
     if not isinstance(ref, str):
-        raise SessionSyntaxError(f"{where}: {kind} reference must be a string, got {ref!r}")
+        raise SessionSyntaxError(f"{where}: {kind} reference must be a string, got {_show(ref)}")
     if ref not in table:
-        raise UnknownReferenceError(f"{where}: unknown {kind} {ref!r}")
+        raise UnknownReferenceError(f"{where}: unknown {kind} {_show(ref)}")
     return table[ref]
 
 
@@ -264,7 +275,7 @@ def parse_session(text: str) -> SessionFile:
         raise SessionSyntaxError("top level must be an object")
     unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
-        raise SessionSyntaxError(f"unknown top-level keys: {sorted(unknown)}")
+        raise SessionSyntaxError(f"unknown top-level keys: {_show(sorted(unknown))}")
     if "field" not in doc:
         raise SessionSyntaxError("missing required key 'field'")
     fld = _parse_field(doc["field"])
@@ -277,7 +288,7 @@ def parse_session(text: str) -> SessionFile:
         report = validate_complex(complex_)
         if not report.ok:
             raise InvalidComplexError(
-                f"object {name!r}: d(d(x)) != 0 at degree {report.degree}"
+                f"object {_show(name)}: d(d(x)) != 0 at degree {report.degree}"
             )
 
     maps: dict[str, MapEntry] = {}
@@ -287,7 +298,7 @@ def parse_session(text: str) -> SessionFile:
         ("homotopies", "homotopy", Homotopy, HomotopyEntry, homotopies),
     ):
         for name, payload in _table(doc, section).items():
-            where = f"{kind} {name!r}"
+            where = f"{kind} {_show(name)}"
             if not isinstance(payload, dict) or not set(payload) <= {"from", "to", "components"}:
                 raise SessionSyntaxError(f"{where}: expected 'from', 'to' and optional 'components'")
             if "from" not in payload or "to" not in payload:
@@ -313,7 +324,7 @@ def parse_session(text: str) -> SessionFile:
 
     roofs: dict[str, RoofEntry] = {}
     for name, payload in _table(doc, "roofs").items():
-        where = f"roof {name!r}"
+        where = f"roof {_show(name)}"
         if not isinstance(payload, dict) or set(payload) != {"denom", "numer"}:
             raise SessionSyntaxError(f"{where}: expected exactly 'denom' and 'numer'")
         denom = _resolve(maps, payload["denom"], "map", where)
@@ -338,40 +349,46 @@ def _field_payload(fld: FieldSpec):
     return {"kind": "rational"}
 
 
-def _scalar_payload(fld: FieldSpec, x):
+def _scalar_payload(fld: FieldSpec, x, where: str):
     if fld.kind == "prime":
         return int(x)
     frac = Fraction(x)
-    if frac.denominator == 1:
-        return int(frac)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        text = f"{frac.numerator}/{frac.denominator}"
+    except ValueError:  # past the interpreter's limit on digits per integer, as in _parse_int
+        raise SessionSyntaxError(f"{where}: a scalar has an integer too long to write") from None
+    return frac.numerator if frac.denominator == 1 else text
 
 
-def matrix_payload(m: Matrix):
-    """Nested-list JSON form of a matrix, scalars formatted for its field."""
-    return [[_scalar_payload(m.field, x) for x in m.row(i)] for i in range(m.rows)]
+def matrix_payload(m: Matrix, where: str):
+    """Nested-list JSON form of a matrix, scalars formatted for its field.
+
+    ``where`` names the matrix in the error raised when a scalar is too
+    long to write.
+    """
+    return [[_scalar_payload(m.field, x, where) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _complex_payload(c: CochainComplex):
+def _complex_payload(c: CochainComplex, where: str):
     payload = {"dims": {str(i): c.dim(i) for i in c.degrees()}}
     diff = {}
     for i in range(c.lo, c.hi):
         d = c.d(i)
         if d.rows > 0 and d.cols > 0:
-            diff[str(i)] = matrix_payload(d)
+            diff[str(i)] = matrix_payload(d, f"{where} diff {i}")
     if diff:
         payload["diff"] = diff
     return payload
 
 
-def _graded_payload(entry: MapEntry | HomotopyEntry):
+def _graded_payload(entry: MapEntry | HomotopyEntry, where: str):
     payload = {"from": entry.source, "to": entry.target}
     f = entry.value
     comps = {}
     for i in f.window:
         m = f.component(i)
         if m.rows > 0 and m.cols > 0:
-            comps[str(i)] = matrix_payload(m)
+            comps[str(i)] = matrix_payload(m, f"{where} component {i}")
     if comps:
         payload["components"] = comps
     return payload
@@ -381,9 +398,11 @@ def emit_session(session: SessionFile) -> str:
     """Canonical text form: fixed key order, ascending degrees, declaration order."""
     doc = {
         "field": _field_payload(session.field),
-        "objects": {name: _complex_payload(c) for name, c in session.objects.items()},
-        "maps": {name: _graded_payload(e) for name, e in session.maps.items()},
-        "homotopies": {name: _graded_payload(e) for name, e in session.homotopies.items()},
+        "objects": {name: _complex_payload(c, f"object {_show(name)}") for name, c in session.objects.items()},
+        "maps": {name: _graded_payload(e, f"map {_show(name)}") for name, e in session.maps.items()},
+        "homotopies": {
+            name: _graded_payload(e, f"homotopy {_show(name)}") for name, e in session.homotopies.items()
+        },
         "roofs": {name: {"denom": e.denom, "numer": e.numer} for name, e in session.roofs.items()},
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -6,6 +6,7 @@ installed console script wires up to the same entry point.
 
 import copy
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from homcat import (
     shift,
     zero_chain_map,
 )
+from homcat import cli
 from homcat.cli import main
 from randgen import F5
 
@@ -398,6 +400,68 @@ def test_zero_filled_components_count_toward_the_cap(capsys, tmp_path):
     err, peak = run_hostile(capsys, tmp_path, json.dumps(session))
     assert err.startswith("SessionSyntaxError: homotopy 'k':")
     assert peak < 2**20
+
+
+def test_rational_result_too_long_to_write_exits_2(capsys, tmp_path):
+    # H^0 is spanned by a kernel vector whose entries are 2 x 2 minors of
+    # 2,200-digit integers: past the 4,300 digits a session may hold
+    rng = random.Random(5)
+    rows = [[rng.randrange(10**2199, 10**2200) for _ in range(3)] for _ in range(2)]
+    doc = {"field": {"kind": "rational"}, "objects": {"A": {"dims": {"0": 3, "1": 2}, "diff": {"0": rows}}}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cohomology", str(path), "A")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SessionSyntaxError: object 'A' representatives at degree 0:")
+    assert "Traceback" not in err
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"field": {"kind": "k" * 5000}}, "field kind"),
+        ({"field": {"kind": _nested(900)}}, "field kind"),
+        (
+            {
+                "field": {"kind": "rational"},
+                "objects": {"A": {"dims": {"0": 1, "1": 1}, "diff": {"0": [["7" * 4000 + "/x" + "9" * 998]]}}},
+            },
+            "object 'A' diff 0 row 0: bad rational scalar",
+        ),
+    ],
+    ids=["long-kind", "deep-kind", "long-scalar"],
+)
+def test_error_messages_quote_values_briefly(capsys, tmp_path, doc, names):
+    err, _ = run_hostile(capsys, tmp_path, json.dumps(doc))
+    assert len(err.encode()) < 300
+    assert err.startswith("SessionSyntaxError:")
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [RuntimeError("self-check failed\n" * 100), MemoryError(), RecursionError("too deep"), KeyError("x")],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_faults_exit_3_with_one_line(capsys, monkeypatch, session_file, fault):
+    def handler(session, args):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", handler)
+    code, out, err = run(capsys, "validate", session_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"internal error: {type(fault).__name__}")
+    assert err.count("\n") == 1 and len(err) < 300
+    assert "Traceback" not in err
 
 
 # fuzzing the exit-code contract

@@ -1,15 +1,22 @@
 """Exact dense matrix layer: frozen examples plus randomized identities.
 
 Oracles used here, all independent of the implementation under test:
-naive triple-loop multiplication, cofactor-expansion determinant, and
-exhaustive vector enumeration over F2.
+naive triple-loop multiplication, cofactor-expansion determinant,
+exhaustive vector enumeration over F2, and entry-wise comparison of the
+entries tuples for equality and hashing.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcat import (
     FieldSpec,
@@ -24,6 +31,9 @@ from homcat import (
     transpose,
 )
 from randgen import F2, F5, Q, random_matrix
+
+F_BIG = FieldSpec.prime(2**31 - 1)
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def naive_matmul(a, b):
@@ -305,3 +315,121 @@ def test_rational_entries_reduced():
     m = Matrix.from_rows(Q, [[Fraction(2, 4)]])
     assert m[0, 0] == Fraction(1, 2)
     assert m[0, 0].denominator == 2
+
+
+# the cached integer form: product kernel, equality, hashing
+
+
+def _scalars(field):
+    if field.kind == "prime":
+        return st.one_of(st.just(0), st.integers(0, field.p - 1))
+    huge = st.integers(2**64, 2**90)
+    return st.one_of(
+        st.integers(-3, 3).map(Fraction),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+        # numerators and denominators past 2^64
+        st.builds(Fraction, st.one_of(huge, huge.map(lambda x: -x)), st.one_of(st.integers(1, 9), huge)),
+    )
+
+
+def _matrices(field, rows, cols, cell=None):
+    if cell is None:
+        cell = _scalars(field)
+    flat = st.lists(cell, min_size=rows * cols, max_size=rows * cols)
+    return flat.map(lambda xs: Matrix(rows, cols, tuple(xs), field))
+
+
+_FIELDS = [F2, F5, F_BIG, Q]
+_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+@_SETTINGS
+@given(data=st.data())
+def test_matmul_matches_naive_loop(field, data):
+    m, k, n = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
+    a = data.draw(_matrices(field, m, k))
+    b = data.draw(_matrices(field, k, n))
+    got, want = mat_mul(a, b), naive_matmul(a, b)
+    assert (got.rows, got.cols) == (m, n)
+    assert got.entries == want.entries
+    if field.kind == "prime":
+        assert all(type(x) is int and 0 <= x < field.p for x in got.entries)
+    else:
+        assert all(type(x) is Fraction for x in got.entries)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+@_SETTINGS
+@given(data=st.data())
+def test_equality_and_hash_agree_with_entrywise_equality(field, data):
+    # a small alphabet and a few shapes make equal pairs common
+    values = [0, 1, 2] + ([Fraction(1, 2), Fraction(1, 3)] if field.kind == "rational" else [])
+    cell = st.sampled_from([field.coerce(x) for x in values])
+    shapes = st.sampled_from([(0, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)])
+    a = data.draw(shapes.flatmap(lambda s: _matrices(field, *s, cell)))
+    if data.draw(st.booleans()):
+        b = Matrix(a.rows, a.cols, tuple(a.entries), field)  # a fresh equal copy
+    else:
+        b = data.draw(shapes.flatmap(lambda s: _matrices(field, *s, cell)))
+    same = (a.rows, a.cols) == (b.rows, b.cols) and a.entries == b.entries
+    assert (a == b) is same
+    assert (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_prime_matrix_never_equals_rational_matrix_with_same_integers(p):
+    fp = FieldSpec.prime(p)
+    for rows in ([[0, 1], [1, 0]], [[0]], [[1, p - 1]]):
+        a, b = Matrix.from_rows(fp, rows), Matrix.from_rows(Q, rows)
+        assert a.int_form() == b.int_form()
+        assert a != b and b != a
+        assert len({a, b}) == 2
+    assert Matrix.zeros(fp, 0, 3) != Matrix.zeros(Q, 0, 3)
+
+
+def test_pickled_hash_matches_a_fresh_matrix_under_another_hash_seed():
+    build = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from homcat import FieldSpec, Matrix
+        mats = [
+            Matrix.from_rows(FieldSpec.rational(), [[Fraction(1, 3), Fraction(-5, 2**70)], [2**80, 0]]),
+            Matrix.from_rows(FieldSpec.prime(2**31 - 1), [[1, 2, 3]]),
+            Matrix.zeros(FieldSpec.prime(5), 0, 2),
+        ]
+        """
+    )
+    write = build + textwrap.dedent(
+        """
+        import pickle, sys
+        for m in mats:
+            hash(m)  # fill the cache, so the pickle carries it
+        sys.stdout.buffer.write(pickle.dumps(mats))
+        """
+    )
+    read = build + textwrap.dedent(
+        """
+        import pickle, sys
+        loaded = pickle.loads(sys.stdin.buffer.read())
+        for old, new in zip(loaded, mats, strict=True):
+            assert old._hash is not None, "the pickle dropped the cached hash"
+            assert hash(old) == hash(new) and old == new
+            assert {old: "found"}[new] == "found" and {new: "found"}[old] == "found"
+        print(hash("prime"))
+        """
+    )
+
+    def child(code, seed, stdin=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, input=stdin, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    blob = child(write, "1")
+    salt = child(read, "2", blob)
+    assert int(salt) != int(child('print(hash("prime"))', "1"))  # the seeds really salt str hashes

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from homcat import (
+    ChainMap,
     CochainComplex,
     InvalidChainMapError,
     InvalidComplexError,
@@ -412,3 +413,17 @@ def test_rational_emission_uses_fraction_strings():
     )
     payload2 = json.loads(emit_session(SessionFile(Q, objects={"B": whole})))
     assert payload2["objects"]["B"]["diff"]["0"] == [[2]]
+
+
+def test_emission_refuses_integers_parsing_would_refuse():
+    # 10^4400 has more digits than a session may hold; emission names the matrix
+    huge = Matrix.from_rows(Q, [[10**4400]])
+    c = CochainComplex.create(Q, {0: 1, 1: 1}, {0: huge})
+    with pytest.raises(SessionSyntaxError, match=r"^object 'A' diff 0: .* too long"):
+        emit_session(SessionFile(Q, objects={"A": c}))
+    small = CochainComplex.create(Q, {0: 1, 1: 1}, {0: Matrix.identity(Q, 1)})
+    f = identity_chain_map(small)
+    g = ChainMap.create(small, small, {0: huge, 1: huge})
+    session = SessionFile(Q, objects={"A": small}, maps={"f": MapEntry("A", "A", f), "g": MapEntry("A", "A", g)})
+    with pytest.raises(SessionSyntaxError, match=r"^map 'g' component 0: "):
+        emit_session(session)
