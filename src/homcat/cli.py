@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .chainmaps import find_homotopy, is_quasi_iso
 from .complexes import cohomology, shift
 from .cones import check_les_exact, cone_triangle, mapping_cone
-from .errors import HomcatError, UnknownReferenceError, UsageError
+from .errors import HomcatError, UnknownReferenceError, UsageError, quote
 from .roofs import Cospan, RoofEquivalenceWitness, compose_roofs, flip_cospan, lift_map_to_roof, verify_roof_equivalence
 from .session import (
     HomotopyEntry,
@@ -72,19 +72,19 @@ def _need(args: Sequence[str], count: int, command: str, shape: str) -> None:
 
 def _get_object(session: SessionFile, name: str):
     if name not in session.objects:
-        raise UnknownReferenceError(f"unknown object {name!r}")
+        raise UnknownReferenceError(f"unknown object {quote(name)}")
     return session.objects[name]
 
 
 def _get_map(session: SessionFile, name: str) -> MapEntry:
     if name not in session.maps:
-        raise UnknownReferenceError(f"unknown map {name!r}")
+        raise UnknownReferenceError(f"unknown map {quote(name)}")
     return session.maps[name]
 
 
 def _get_roof(session: SessionFile, name: str) -> RoofEntry:
     if name not in session.roofs:
-        raise UnknownReferenceError(f"unknown roof {name!r}")
+        raise UnknownReferenceError(f"unknown roof {quote(name)}")
     return session.roofs[name]
 
 
@@ -109,7 +109,7 @@ def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
         entry = {"dim": space.dim}
         if space.dim > 0:
             entry["representatives"] = matrix_payload(
-                space.representatives(), f"object {name!r} representatives at degree {i}"
+                space.representatives(), f"object {quote(name)} representatives at degree {i}"
             )
         table[str(i)] = entry
     return CommandResult(
@@ -123,7 +123,7 @@ def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
     try:
         n = int(args[1])
     except ValueError:
-        raise UsageError(f"shift amount must be an integer, got {args[1]!r}") from None
+        raise UsageError(f"shift amount must be an integer, got {quote(args[1])}") from None
     fragment = SessionFile(session.field, objects={"shifted": shift(c, n)})
     return CommandResult(emit_session(fragment), 0)
 
@@ -298,7 +298,7 @@ def run_command(session: SessionFile, command: str, args: Sequence[str]) -> Comm
     """Execute one command against a parsed session."""
     handler = _COMMANDS.get(command)
     if handler is None:
-        raise UsageError(f"unknown command {command!r}")
+        raise UsageError(f"unknown command {quote(command)}")
     return handler(session, list(args))
 
 
@@ -312,7 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     command = args[0]
     if command not in _COMMANDS:
-        sys.stderr.write(f"unknown command {command!r}\n{USAGE}")
+        sys.stderr.write(f"unknown command {quote(command)}\n{USAGE}")
         return 2
     if len(args) < 2:
         sys.stderr.write(f"missing session file\n{USAGE}")
@@ -320,7 +320,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         text = Path(args[1]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        sys.stderr.write(f"cannot read session file: {e}\n")
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        sys.stderr.write(f"cannot read session file {quote(args[1])}: {reason}\n")
         return 2
     try:
         session = parse_session(text)

@@ -5,8 +5,18 @@ logic faults (a self-check of a construction that fails, a witness that
 does not check) are raised as plain RuntimeError, never through assert,
 so they still run under ``python -O``.  The CLI exits 2 on a HomcatError
 and 3 on any other exception (RuntimeError, MemoryError, ...), printing
-one line to stderr and no traceback.
+one line to stderr and no traceback.  Messages quote offending values
+through ``quote``, so no message echoes a huge input back.
 """
+
+# the longest quote of an offending value in an error message
+_QUOTE_LIMIT = 60
+
+
+def quote(value) -> str:
+    """The repr of ``value`` for an error message, clipped to _QUOTE_LIMIT characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
 
 
 class HomcatError(Exception):

@@ -9,13 +9,17 @@ in magnitude, so the fast path is still exact integer arithmetic.
 Rational reductions run on Fraction entries.
 
 Every matrix has a canonical integer form (D, ints), computed once on
-first use: entries == ints / D, where D is the least common denominator
-over Q and D = 1 with ints = entries over F_p.  Equality, hashing and
-is_zero read it and never touch a Fraction, so a cache keyed by a
-matrix pays for the hash once.  Products multiply integers and reduce
-once per output entry (delayed reduction, as in FFLAS-FFPACK): int64
-numpy while n(p-1)^2 < 2^63, else Python integers, then % p, or one
-Fraction(x, D_a D_b) per entry over Q.
+first use: entries == ints / D, where D = 1 with ints = entries over
+F_p and D is the least common denominator over Q.  A Q matrix whose D
+would pass _DENOMINATOR_BITS keeps D = 0 and the numerators followed by
+the denominators instead, so the form never outgrows the entries by
+more than that many bits each, however many distinct denominators they
+have.  Equality and hashing read the form and never touch a Fraction,
+so a cache keyed by a matrix pays for the hash once.  Products multiply
+integers and reduce once per output entry (delayed reduction, as in
+FFLAS-FFPACK): int64 numpy while n(p-1)^2 < 2^63, else Python integers,
+then % p, or one Fraction(x, D_a D_b) per entry over Q; a Q factor
+with D = 0 makes the product sum Fractions instead.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ __all__ = [
     "kernel_basis",
     "solve_linear",
 ]
+
+# the bit length of the largest common denominator a Q matrix scales its
+# entries by; many distinct denominators would make it grow without bound
+_DENOMINATOR_BITS = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,14 +140,13 @@ class Matrix:
         return Matrix(self.rows, len(which), flat, self.field)
 
     def int_form(self) -> tuple[int, tuple]:
-        """The canonical (D, ints) with entries == ints / D; see the module docstring."""
+        """The canonical (D, ints): entries == ints / D, or D = 0; see the module docstring."""
         form = self._form
         if form is None:
             if self.field.kind == "prime":
                 form = (1, self.entries)
             else:
-                den = lcm(*(x.denominator for x in self.entries))
-                form = (den, tuple(x.numerator * (den // x.denominator) for x in self.entries))
+                form = _rational_form(self.entries)
             object.__setattr__(self, "_form", form)
         return form
 
@@ -163,10 +170,21 @@ class Matrix:
         return h
 
     def is_zero(self) -> bool:
-        return not any(self.int_form()[1])
+        return not any(self.entries)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
+
+
+def _rational_form(entries: tuple) -> tuple[int, tuple]:
+    den = 1
+    # lcm is monotone in the set, so stopping early decides the same way
+    # as the full lcm, whatever the set's order
+    for d in {x.denominator for x in entries}:
+        den = lcm(den, d)
+        if den.bit_length() > _DENOMINATOR_BITS:
+            return (0, tuple(x.numerator for x in entries) + tuple(x.denominator for x in entries))
+    return (den, tuple(x.numerator * (den // x.denominator) for x in entries))
 
 
 class RrefResult(NamedTuple):
@@ -306,6 +324,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return _of_np((_np_of(a) @ _np_of(b)) % p, f)
     da, ai = a.int_form()
     db, bi = b.int_form()
+    if not (da and db):  # no small common denominator: sum the Fractions
+        da = db = 1
+        ai, bi = a.entries, b.entries
     n, m = a.cols, b.cols
     bcols = [bi[j::m] for j in range(m)]
     sums = [sum(map(mul, ai[i * n : (i + 1) * n], col)) for i in range(a.rows) for col in bcols]

@@ -46,6 +46,7 @@ from .errors import (
     SessionSyntaxError,
     ShapeMismatchError,
     UnknownReferenceError,
+    quote,
 )
 from .fields import FieldSpec
 from .matrices import Matrix
@@ -74,9 +75,6 @@ _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 # homotopy, every component, zero-filled or not.
 MAX_DEGREES = 100_000
 MAX_ENTRIES = 4_000_000
-
-# the longest quote of an offending value in an error message
-_QUOTE_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,6 @@ class SessionFile:
 # -- parsing -----------------------------------------------------------------
 
 
-def _show(value) -> str:
-    """The repr of ``value`` for an error message, clipped to _QUOTE_LIMIT characters."""
-    text = repr(value)
-    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
-
-
 class _Budget:
     """Running totals of a session's declared size, checked against the caps."""
 
@@ -139,7 +131,7 @@ def _no_duplicate_pairs(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise SessionSyntaxError(f"duplicate key {_show(key)}")
+            raise SessionSyntaxError(f"duplicate key {quote(key)}")
         out[key] = value
     return out
 
@@ -153,16 +145,16 @@ def _parse_field(payload) -> FieldSpec:
             raise SessionSyntaxError("prime field takes exactly the keys 'kind' and 'p'")
         p = payload["p"]
         if isinstance(p, bool) or not isinstance(p, int):
-            raise SessionSyntaxError(f"field modulus must be an integer, got {_show(p)}")
+            raise SessionSyntaxError(f"field modulus must be an integer, got {quote(p)}")
         try:
             return FieldSpec.prime(p)
         except ValueError:
-            raise SessionSyntaxError(f"field modulus {_show(p)} is not a prime in [2, 2^31)") from None
+            raise SessionSyntaxError(f"field modulus {quote(p)} is not a prime in [2, 2^31)") from None
     if kind == "rational":
         if set(payload) != {"kind"}:
             raise SessionSyntaxError("rational field takes exactly the key 'kind'")
         return FieldSpec.rational()
-    raise SessionSyntaxError(f"unknown field kind {_show(kind)}")
+    raise SessionSyntaxError(f"unknown field kind {quote(kind)}")
 
 
 def _parse_int(digits: str, where: str) -> int:
@@ -174,16 +166,16 @@ def _parse_int(digits: str, where: str) -> int:
 
 def _parse_degree(key, where: str) -> int:
     if not isinstance(key, str) or not _DEGREE_RE.fullmatch(key):
-        raise SessionSyntaxError(f"{where}: degree keys must be canonical integers, got {_show(key)}")
+        raise SessionSyntaxError(f"{where}: degree keys must be canonical integers, got {quote(key)}")
     return _parse_int(key, where)
 
 
 def _parse_scalar(fld: FieldSpec, value, where: str):
     if isinstance(value, bool) or isinstance(value, float):
-        raise SessionSyntaxError(f"{where}: not an exact scalar: {_show(value)}")
+        raise SessionSyntaxError(f"{where}: not an exact scalar: {quote(value)}")
     if fld.kind == "prime":
         if not isinstance(value, int):
-            raise SessionSyntaxError(f"{where}: expected an integer scalar, got {_show(value)}")
+            raise SessionSyntaxError(f"{where}: expected an integer scalar, got {quote(value)}")
         return value % fld.p
     if isinstance(value, int):
         return Fraction(value)
@@ -193,8 +185,8 @@ def _parse_scalar(fld: FieldSpec, value, where: str):
             num, den = _parse_int(m.group(1), where), _parse_int(m.group(2), where)
             if den != 0:
                 return Fraction(num, den)
-        raise SessionSyntaxError(f"{where}: bad rational scalar {_show(value)}")
-    raise SessionSyntaxError(f"{where}: expected an integer or 'a/b' string, got {_show(value)}")
+        raise SessionSyntaxError(f"{where}: bad rational scalar {quote(value)}")
+    raise SessionSyntaxError(f"{where}: expected an integer or 'a/b' string, got {quote(value)}")
 
 
 def _parse_matrix(fld: FieldSpec, value, where: str) -> Matrix:
@@ -224,7 +216,7 @@ def _table(doc: dict, key: str) -> dict:
 
 
 def _parse_complex(fld: FieldSpec, name: str, payload, budget: _Budget) -> CochainComplex:
-    where = f"object {_show(name)}"
+    where = f"object {quote(name)}"
     if not isinstance(payload, dict) or not set(payload) <= {"dims", "diff"}:
         raise SessionSyntaxError(f"{where}: expected the keys 'dims' and optionally 'diff'")
     dims_raw = payload.get("dims", {})
@@ -255,9 +247,9 @@ def _parse_complex(fld: FieldSpec, name: str, payload, budget: _Budget) -> Cocha
 
 def _resolve(table: dict, ref, kind: str, where: str):
     if not isinstance(ref, str):
-        raise SessionSyntaxError(f"{where}: {kind} reference must be a string, got {_show(ref)}")
+        raise SessionSyntaxError(f"{where}: {kind} reference must be a string, got {quote(ref)}")
     if ref not in table:
-        raise UnknownReferenceError(f"{where}: unknown {kind} {_show(ref)}")
+        raise UnknownReferenceError(f"{where}: unknown {kind} {quote(ref)}")
     return table[ref]
 
 
@@ -275,7 +267,7 @@ def parse_session(text: str) -> SessionFile:
         raise SessionSyntaxError("top level must be an object")
     unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
-        raise SessionSyntaxError(f"unknown top-level keys: {_show(sorted(unknown))}")
+        raise SessionSyntaxError(f"unknown top-level keys: {quote(sorted(unknown))}")
     if "field" not in doc:
         raise SessionSyntaxError("missing required key 'field'")
     fld = _parse_field(doc["field"])
@@ -288,7 +280,7 @@ def parse_session(text: str) -> SessionFile:
         report = validate_complex(complex_)
         if not report.ok:
             raise InvalidComplexError(
-                f"object {_show(name)}: d(d(x)) != 0 at degree {report.degree}"
+                f"object {quote(name)}: d(d(x)) != 0 at degree {report.degree}"
             )
 
     maps: dict[str, MapEntry] = {}
@@ -298,7 +290,7 @@ def parse_session(text: str) -> SessionFile:
         ("homotopies", "homotopy", Homotopy, HomotopyEntry, homotopies),
     ):
         for name, payload in _table(doc, section).items():
-            where = f"{kind} {_show(name)}"
+            where = f"{kind} {quote(name)}"
             if not isinstance(payload, dict) or not set(payload) <= {"from", "to", "components"}:
                 raise SessionSyntaxError(f"{where}: expected 'from', 'to' and optional 'components'")
             if "from" not in payload or "to" not in payload:
@@ -324,7 +316,7 @@ def parse_session(text: str) -> SessionFile:
 
     roofs: dict[str, RoofEntry] = {}
     for name, payload in _table(doc, "roofs").items():
-        where = f"roof {_show(name)}"
+        where = f"roof {quote(name)}"
         if not isinstance(payload, dict) or set(payload) != {"denom", "numer"}:
             raise SessionSyntaxError(f"{where}: expected exactly 'denom' and 'numer'")
         denom = _resolve(maps, payload["denom"], "map", where)
@@ -398,10 +390,10 @@ def emit_session(session: SessionFile) -> str:
     """Canonical text form: fixed key order, ascending degrees, declaration order."""
     doc = {
         "field": _field_payload(session.field),
-        "objects": {name: _complex_payload(c, f"object {_show(name)}") for name, c in session.objects.items()},
-        "maps": {name: _graded_payload(e, f"map {_show(name)}") for name, e in session.maps.items()},
+        "objects": {name: _complex_payload(c, f"object {quote(name)}") for name, c in session.objects.items()},
+        "maps": {name: _graded_payload(e, f"map {quote(name)}") for name, e in session.maps.items()},
         "homotopies": {
-            name: _graded_payload(e, f"homotopy {_show(name)}") for name, e in session.homotopies.items()
+            name: _graded_payload(e, f"homotopy {quote(name)}") for name, e in session.homotopies.items()
         },
         "roofs": {name: {"denom": e.denom, "numer": e.numer} for name, e in session.roofs.items()},
     }

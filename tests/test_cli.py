@@ -417,6 +417,71 @@ def test_rational_result_too_long_to_write_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_long_object_name_is_quoted_briefly_on_a_result_too_long_to_write(capsys, tmp_path):
+    rng = random.Random(5)
+    rows = [[rng.randrange(10**2199, 10**2200) for _ in range(3)] for _ in range(2)]
+    name = "A" * 5000
+    doc = {"field": {"kind": "rational"}, "objects": {name: {"dims": {"0": 3, "1": 2}, "diff": {"0": rows}}}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cohomology", str(path), name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SessionSyntaxError: object 'AAAA")
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["cohomology", None, "x" * 5000], "UnknownReferenceError: unknown object 'xxx"),
+        (["shift", None, "A", "9" * 5000], "UsageError: shift amount must be an integer, got '999"),
+        (["validate", "/" + "d" * 5000], "cannot read session file '/ddd"),
+    ],
+    ids=["object", "shift-amount", "file"],
+)
+def test_cli_arguments_are_quoted_briefly(capsys, session_file, argv, names):
+    code, out, err = run(capsys, *(session_file if a is None else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(names)
+    assert len(err) < 300
+
+
+def test_unknown_command_is_quoted_briefly(capsys, session_file):
+    code, out, err = run(capsys, "z" * 5000, session_file)
+    assert code == 2
+    first = err.splitlines()[0]
+    assert first.startswith("unknown command 'zzz")
+    assert len(first) < 100
+
+
+def test_many_distinct_rational_denominators_parse_in_bounded_memory(capsys, tmp_path):
+    # 6,400 distinct 19-bit prime denominators: their lcm has about 120,000
+    # bits, so scaling every entry to it would take about 100 MB
+    n = 80
+    sieve = bytearray([1]) * 2**19
+    sieve[:2] = b"\0\0"
+    for i in range(2, 2**10):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 2**19, i)))
+    primes = [i for i in range(2**18, 2**19) if sieve[i]][: n * n]
+    rows = [[f"1/{primes[i * n + j]}" for j in range(n)] for i in range(n)]
+    doc = {"field": {"kind": "rational"}, "objects": {"A": {"dims": {"0": n, "1": n}, "diff": {"0": rows}}}}
+    path = tmp_path / "denominators.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {"command": "validate", "ok": True}
+    assert peak < 2**23
+
+
 def _nested(depth):
     value = []
     for _ in range(depth - 1):

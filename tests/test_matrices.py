@@ -380,6 +380,21 @@ def test_equality_and_hash_agree_with_entrywise_equality(field, data):
         assert {a: 1}[b] == 1
 
 
+def test_rational_form_keeps_fractions_past_a_large_common_denominator():
+    # 7 (2^61 - 1)(2^89 - 1) has 153 bits: too large to scale every entry by
+    rows = [[Fraction(1, 2**61 - 1), Fraction(-1, 2**89 - 1)], [3, Fraction(5, 7)]]
+    big = Matrix.from_rows(Q, rows)
+    small = Matrix.from_rows(Q, [[Fraction(1, 2), 0], [2, Fraction(-1, 3)]])
+    den, ints = big.int_form()
+    assert den == 0 and len(ints) == 2 * len(big.entries)
+    assert small.int_form()[0] == 6
+    for a, b in [(big, small), (small, big), (big, big)]:
+        assert mat_mul(a, b).entries == naive_matmul(a, b).entries
+    copy = Matrix.from_rows(Q, rows)
+    assert copy == big and hash(copy) == hash(big)
+    assert big != Matrix.from_rows(Q, [rows[0], [3, Fraction(5, 11)]])
+
+
 @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
 def test_prime_matrix_never_equals_rational_matrix_with_same_integers(p):
     fp = FieldSpec.prime(p)
