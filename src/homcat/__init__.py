@@ -3,7 +3,7 @@
 Everything here works over an exactly represented field, either a prime
 field F_p or the rationals.  The main layers:
 
-  fields      scalar arithmetic (FieldSpec)
+  fields      the coefficient field and its canonical scalars (FieldSpec)
   matrices    dense exact matrices, rref, kernels, solving
   complexes   bounded cochain complexes, shift, cohomology, contractions
   chainmaps   chain maps, homotopies, quasi-isomorphism tests

@@ -37,7 +37,7 @@ from .matrices import (
     block_diag,
     hstack,
     mat_mul,
-    mat_scale,
+    mat_neg,
     rref,
     transpose,
 )
@@ -186,7 +186,7 @@ def shift(c: CochainComplex, n: int) -> CochainComplex:
     diff = {}
     for i in range(c.lo, c.hi):
         d = c.diff[i - c.lo]
-        diff[i - n] = mat_scale(-1, d) if n % 2 else d
+        diff[i - n] = mat_neg(d) if n % 2 else d
     return CochainComplex.create(c.field, dims, diff, lo=c.lo - n, hi=c.hi - n)
 
 

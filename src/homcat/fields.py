@@ -2,8 +2,10 @@
 
 Scalars are plain Python values: canonical integers in [0, p) for the
 prime case, reduced ``fractions.Fraction`` instances for the rational
-case.  A FieldSpec bundles the arithmetic so matrix code can stay
-field-agnostic.  Floating point never appears.
+case.  A FieldSpec names the field and gives its canonical zero, one and
+coercion; the arithmetic itself lives with the matrices, which work on
+whole integer forms rather than one scalar at a time.  Floating point
+never appears.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class FieldSpec:
     def __str__(self) -> str:
         return f"F_{self.p}" if self.kind == "prime" else "Q"
 
-    # -- scalar arithmetic -------------------------------------------------
+    # -- canonical scalars -------------------------------------------------
 
     def zero(self):
         return 0 if self.kind == "prime" else Fraction(0)
@@ -79,23 +81,3 @@ class FieldSpec:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise ValueError(f"not a rational scalar: {x!r}")
-
-    def add(self, a, b):
-        if self.kind == "prime":
-            return (a + b) % self.p
-        return a + b
-
-    def sub(self, a, b):
-        if self.kind == "prime":
-            return (a - b) % self.p
-        return a - b
-
-    def mul(self, a, b):
-        if self.kind == "prime":
-            return (a * b) % self.p
-        return a * b
-
-    def neg(self, a):
-        if self.kind == "prime":
-            return (-a) % self.p
-        return -a

@@ -1,33 +1,43 @@
 """Dense exact matrices and the linear algebra the rest of the package runs on.
 
-Storage is row-major in a flat tuple, so Matrix values are immutable and
+Storage is row-major and flat, so Matrix values are immutable and
 hashable.  Empty shapes (0 x n, n x 0) are first class.  Reduction is
 Gauss-Jordan with deterministic pivoting: leftmost pivot column, first
 nonzero row.  Prime-field reductions run on int64 numpy arrays; with
 p < 2^31 every intermediate value of an elimination step is below 2^63
 in magnitude, so the fast path is still exact integer arithmetic.
-Rational reductions run on Fraction entries.
 
-Every matrix has a canonical integer form (D, ints), computed once on
-first use: entries == ints / D, where D = 1 with ints = entries over
-F_p and D is the least common denominator over Q.  A Q matrix whose D
+Every matrix has a canonical integer form (D, ints): entries == ints / D,
+where D = 1 with ints = entries over F_p, and over Q D is the least
+common denominator, which makes gcd(D, *ints) == 1.  A Q matrix whose D
 would pass _DENOMINATOR_BITS keeps D = 0 and the numerators followed by
 the denominators instead, so the form never outgrows the entries by
 more than that many bits each, however many distinct denominators they
-have.  Equality and hashing read the form and never touch a Fraction,
-so a cache keyed by a matrix pays for the hash once.  Products multiply
-integers and reduce once per output entry (delayed reduction, as in
-FFLAS-FFPACK): int64 numpy while n(p-1)^2 < 2^63, else Python integers,
-then % p, or one Fraction(x, D_a D_b) per entry over Q; a Q factor
-with D = 0 makes the product sum Fractions instead.
+have.  Equality and hashing read the form and never touch a Fraction
+once it is built, so a cache keyed by a matrix pays for the hash once.
+
+Over Q the form is the matrix.  Sums, differences, negation, scaling,
+products, transposes, blocks, row and column selections, zeros and
+identities compute their result's form from their inputs' forms on
+integers alone, reduced by one gcd of D with all the integers.  Such a
+result builds its Fraction entries only when they are read: by rref,
+indexing, rows and emission.  Only an input with D = 0, or a result
+whose reduced D passes the bound, works on Fraction entries.
+
+Products multiply integers and reduce once per output entry (delayed
+reduction, as in FFLAS-FFPACK): int64 numpy while n(p-1)^2 < 2^63, else
+Python integers and then % p, or over Q one gcd for the whole product.
+A Q factor with D = 0 makes the product scale each row of the left
+factor and each column of the right factor by its own lcm, and write
+one Fraction(x, r_i c_j) per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -80,6 +90,16 @@ class Matrix:
                 f"entries, got {len(self.entries)}"
             )
 
+    def __getattr__(self, name: str):
+        # called only when a slot is unset: a Q matrix built from its form
+        # (see _rational) leaves ``entries`` unset until it is first read
+        if name != "entries":
+            raise AttributeError(f"'Matrix' object has no attribute {name!r}")
+        den, ints = self._form
+        entries = tuple(map(Fraction, ints)) if den == 1 else tuple(Fraction(x, den) for x in ints)
+        object.__setattr__(self, "entries", entries)
+        return entries
+
     # -- builders ----------------------------------------------------------
 
     @classmethod
@@ -102,15 +122,14 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (field.zero(),) * (rows * cols), field)
+        return _integral(field, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        flat = [z] * (n * n)
+        flat = [0] * (n * n)
         for i in range(n):
-            flat[i * n + i] = o
-        return cls(n, n, tuple(flat), field)
+            flat[i * n + i] = 1
+        return _integral(field, n, n, tuple(flat))
 
     @classmethod
     def build(cls, field: FieldSpec, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Matrix":
@@ -132,12 +151,12 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def take_rows(self, which: Sequence[int]) -> "Matrix":
-        flat = tuple(x for i in which for x in self.row(i))
-        return Matrix(len(which), self.cols, flat, self.field)
+        c = self.cols
+        return _relaid(self, len(which), c, [i * c + j for i in which for j in range(c)])
 
     def take_columns(self, which: Sequence[int]) -> "Matrix":
-        flat = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in which)
-        return Matrix(self.rows, len(which), flat, self.field)
+        c = self.cols
+        return _relaid(self, self.rows, len(which), [i * c + j for i in range(self.rows) for j in which])
 
     def int_form(self) -> tuple[int, tuple]:
         """The canonical (D, ints): entries == ints / D, or D = 0; see the module docstring."""
@@ -158,7 +177,7 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.int_form() == other.int_form()
+            and (self._form or self.int_form()) == (other._form or other.int_form())
             and (self.field is other.field or self.field == other.field)
         )
 
@@ -170,7 +189,10 @@ class Matrix:
         return h
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        # the form where one is at hand, else the entries: neither builds
+        # anything (no matrix with D = 0 is zero, and its form says so)
+        form = self._form
+        return not any(self.entries if form is None else form[1])
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
@@ -185,6 +207,47 @@ def _rational_form(entries: tuple) -> tuple[int, tuple]:
         if den.bit_length() > _DENOMINATOR_BITS:
             return (0, tuple(x.numerator for x in entries) + tuple(x.denominator for x in entries))
     return (den, tuple(x.numerator * (den // x.denominator) for x in entries))
+
+
+def _rational(rows: int, cols: int, den: int, ints: Sequence[int], field: FieldSpec) -> Matrix:
+    """The Q matrix ints / den (den > 0), held as its canonical form.
+
+    One gcd reduces (den, ints); its entries are built on first read.  A
+    reduced den past _DENOMINATOR_BITS gets Fraction entries instead, and
+    so the D = 0 form, as any such matrix does.
+    """
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [x // g for x in ints]
+        if den.bit_length() > _DENOMINATOR_BITS:
+            return Matrix(rows, cols, tuple(Fraction(x, den) for x in ints), field)
+    m = object.__new__(Matrix)
+    put = object.__setattr__
+    put(m, "rows", rows)
+    put(m, "cols", cols)
+    put(m, "field", field)
+    put(m, "_form", (den, tuple(ints)))
+    put(m, "_hash", None)
+    return m
+
+
+def _integral(field: FieldSpec, rows: int, cols: int, flat: tuple) -> Matrix:
+    """The matrix of the canonical integers ``flat``, lazily over Q."""
+    if field.kind == "rational" and rows >= 0 and cols >= 0:
+        return _rational(rows, cols, 1, flat, field)
+    return Matrix(rows, cols, flat, field)  # refuses a negative shape
+
+
+def _relaid(a: Matrix, rows: int, cols: int, index: list[int]) -> Matrix:
+    """The rows x cols matrix of a's flat values at ``index``; over Q with
+    D > 0, of the integers of a's form."""
+    if a.field.kind == "rational":
+        den, ints = a.int_form()
+        if den:
+            return _rational(rows, cols, den, tuple(map(ints.__getitem__, index)), a.field)
+    return Matrix(rows, cols, tuple(map(a.entries.__getitem__, index)), a.field)
 
 
 class RrefResult(NamedTuple):
@@ -204,12 +267,14 @@ class RrefResult(NamedTuple):
         """
         red, pivots = self
         f = red.field
+        p = f.p
         free = self.free_columns()
         flat = [f.zero()] * (red.cols * len(free))
         for t, j in enumerate(free):
             flat[j * len(free) + t] = f.one()
             for r, pc in enumerate(pivots):
-                flat[pc * len(free) + t] = f.neg(red[r, j])
+                x = red[r, j]
+                flat[pc * len(free) + t] = -x % p if p else -x
         return Matrix(red.cols, len(free), tuple(flat), f)
 
 
@@ -221,36 +286,60 @@ def _require_same_field(a: Matrix, b: Matrix) -> None:
 # -- elementwise and structural operations ---------------------------------
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
+def _entrywise(op: Callable, a: Matrix, b: Matrix, what: str) -> Matrix:
     _require_same_field(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatchError(f"add {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+        raise ShapeMismatchError(f"{what} {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     f = a.field
-    return Matrix(a.rows, a.cols, tuple(f.add(x, y) for x, y in zip(a.entries, b.entries)), f)
+    p = f.p
+    if p is not None:
+        return Matrix(a.rows, a.cols, tuple(x % p for x in map(op, a.entries, b.entries)), f)
+    da, ai = a.int_form()
+    db, bi = b.int_form()
+    if not (da and db):
+        return Matrix(a.rows, a.cols, tuple(map(op, a.entries, b.entries)), f)
+    den = lcm(da, db)
+    if den != da:
+        ai = [x * (den // da) for x in ai]
+    if den != db:
+        bi = [x * (den // db) for x in bi]
+    return _rational(a.rows, a.cols, den, tuple(map(op, ai, bi)), f)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(add, a, b, "add")
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_field(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatchError(f"sub {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    f = a.field
-    return Matrix(a.rows, a.cols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)), f)
+    return _entrywise(sub, a, b, "sub")
 
 
 def mat_neg(a: Matrix) -> Matrix:
     f = a.field
-    return Matrix(a.rows, a.cols, tuple(f.neg(x) for x in a.entries), f)
+    p = f.p
+    if p is not None:
+        return Matrix(a.rows, a.cols, tuple(-x % p for x in a.entries), f)
+    den, ints = a.int_form()
+    if den:
+        return _rational(a.rows, a.cols, den, tuple(-x for x in ints), f)
+    return Matrix(a.rows, a.cols, tuple(-x for x in a.entries), f)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
     f = a.field
+    p = f.p
     c = f.coerce(c)
-    return Matrix(a.rows, a.cols, tuple(f.mul(c, x) for x in a.entries), f)
+    if p is not None:
+        return Matrix(a.rows, a.cols, tuple(c * x % p for x in a.entries), f)
+    den, ints = a.int_form()
+    if den:
+        return _rational(a.rows, a.cols, den * c.denominator, tuple(c.numerator * x for x in ints), f)
+    return Matrix(a.rows, a.cols, tuple(c * x for x in a.entries), f)
 
 
 def transpose(a: Matrix) -> Matrix:
-    flat = tuple(a.entries[i * a.cols + j] for j in range(a.cols) for i in range(a.rows))
-    return Matrix(a.cols, a.rows, flat, a.field)
+    c = a.cols
+    return _relaid(a, c, a.rows, [i * c + j for j in range(c) for i in range(a.rows)])
 
 
 def block(field: FieldSpec, grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -269,12 +358,25 @@ def block(field: FieldSpec, grid: Sequence[Sequence[Matrix]]) -> Matrix:
                 raise ShapeMismatchError("block widths disagree within a column")
         if any(m.rows != row[0].rows for m in row):
             raise ShapeMismatchError("block heights disagree within a row")
+    shape = (sum(heights), sum(widths))
+    if field.kind == "rational":
+        forms = [[m.int_form() for m in row] for row in grid]
+        if all(den for row in forms for den, _ in row):
+            den = lcm(*(d for row in forms for d, _ in row))
+            values = [[ints if d == den else [x * (den // d) for x in ints] for d, ints in row]
+                      for row in forms]
+            return _rational(*shape, den, _assemble(values, heights, widths), field)
+    return Matrix(*shape, _assemble([[m.entries for m in row] for row in grid], heights, widths), field)
+
+
+def _assemble(values: list, heights: list[int], widths: list[int]) -> tuple:
+    """The flat row-major values of a grid of blocks given by their flat values."""
     flat: list = []
-    for row, h in zip(grid, heights):
+    for row, h in zip(values, heights):
         for i in range(h):
-            for m in row:
-                flat.extend(m.row(i))
-    return Matrix(sum(heights), sum(widths), tuple(flat), field)
+            for xs, w in zip(row, widths):
+                flat.extend(xs[i * w : (i + 1) * w])
+    return tuple(flat)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -312,28 +414,41 @@ def _of_np(arr: np.ndarray, field: FieldSpec) -> Matrix:
     return Matrix(arr.shape[0], arr.shape[1], tuple(int(x) for x in arr.ravel()), field)
 
 
+def _dot(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
+    """Every row times every column, row-major: the one integer product kernel."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
+def _over_own_lcm(vectors: list[tuple]) -> tuple[list[list[int]], list[int]]:
+    """Each vector of Fractions as integers over its own lcm, and the lcms."""
+    lcms = [lcm(*(x.denominator for x in v)) for v in vectors]
+    return [[x.numerator * (d // x.denominator) for x in v] for v, d in zip(vectors, lcms)], lcms
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _require_same_field(a, b)
     if a.cols != b.rows:
         raise ShapeMismatchError(f"mul {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     f = a.field
     p = f.p
+    n, m = a.cols, b.cols
     # the int64 dot is exact only while the accumulated sum cannot reach
     # 2^63; otherwise multiply Python integers
-    if p is not None and a.cols * (p - 1) * (p - 1) < 2**63:
+    if p is not None and n * (p - 1) * (p - 1) < 2**63:
         return _of_np((_np_of(a) @ _np_of(b)) % p, f)
     da, ai = a.int_form()
     db, bi = b.int_form()
-    if not (da and db):  # no small common denominator: sum the Fractions
-        da = db = 1
-        ai, bi = a.entries, b.entries
-    n, m = a.cols, b.cols
-    bcols = [bi[j::m] for j in range(m)]
-    sums = [sum(map(mul, ai[i * n : (i + 1) * n], col)) for i in range(a.rows) for col in bcols]
-    if p is not None:
-        return Matrix(a.rows, b.cols, tuple(x % p for x in sums), f)
-    den = da * db
-    return Matrix(a.rows, b.cols, tuple(Fraction(x, den) for x in sums), f)
+    if da and db:
+        sums = _dot([ai[i * n : (i + 1) * n] for i in range(a.rows)], [bi[j::m] for j in range(m)])
+        if p is not None:
+            return Matrix(a.rows, m, tuple(x % p for x in sums), f)
+        return _rational(a.rows, m, da * db, sums, f)
+    # no small common denominator: scale by the lcm of each row of a and
+    # of each column of b instead, so no sum grows past its own terms
+    rows, row_lcms = _over_own_lcm([a.row(i) for i in range(a.rows)])
+    cols, col_lcms = _over_own_lcm([b.entries[j::m] for j in range(m)])
+    dens = [r * c for r in row_lcms for c in col_lcms]
+    return Matrix(a.rows, m, tuple(map(Fraction, _dot(rows, cols), dens)), f)
 
 
 # -- reduction and solvers ---------------------------------------------------

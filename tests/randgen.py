@@ -113,7 +113,7 @@ def random_chain_map(rng, a, b):
                     base = offsets[i]
                     for s in range(b.dim(i)):
                         idx = base + s * a.dim(i) + c
-                        row[idx] = field.sub(row[idx], db[r, s])
+                        row[idx] = field.coerce(row[idx] - db[r, s])
                 rows.append(row)
     if rows:
         system = Matrix.from_rows(field, rows, cols=total)
@@ -124,7 +124,7 @@ def random_chain_map(rng, a, b):
     for j in range(basis.cols):
         coeff = random_scalar(rng, field)
         for t in range(total):
-            vec[t] = field.add(vec[t], field.mul(coeff, basis[t, j]))
+            vec[t] = field.coerce(vec[t] + coeff * basis[t, j])
     comps = {}
     for i in degs:
         base = offsets[i]
@@ -224,8 +224,8 @@ def random_conjugator(rng, field, n):
             # P <- P (I + x e_ab) adds x times column a to column b;
             # P^{-1} <- (I - x e_ab) P^{-1} subtracts x times row b from row a
             for row in p:
-                row[b] = field.add(row[b], field.mul(x, row[a]))
-            p_inv[a] = [field.sub(u, field.mul(x, v)) for u, v in zip(p_inv[a], p_inv[b])]
+                row[b] = field.coerce(row[b] + x * row[a])
+            p_inv[a] = [field.coerce(u - x * v) for u, v in zip(p_inv[a], p_inv[b])]
     return Matrix.from_rows(field, p, cols=n), Matrix.from_rows(field, p_inv, cols=n)
 
 

@@ -155,7 +155,7 @@ def test_criterion_4_flip_end_to_end():
                     rows,
                     cols,
                     lambda r, c: (
-                        F5.neg(F5.one())
+                        F5.coerce(-1)
                         if c == big_l.dim(i) + big_m.dim(i) + r
                         else F5.zero()
                     ),

@@ -207,15 +207,15 @@ def degreewise_homotopy_check(f, g, k):
         for r in range(x.rows):
             for c in range(y.cols):
                 for j in range(x.cols):
-                    out[r][c] = fld.add(out[r][c], fld.mul(x[r, j], y[j, c]))
+                    out[r][c] = fld.coerce(out[r][c] + x[r, j] * y[j, c])
         return out
 
     for i in range(min(s.lo, t.lo) - 1, max(s.hi, t.hi) + 2):
         gi, fi = g.component(i), f.component(i)
-        lhs = [[fld.sub(gi[r, c], fi[r, c]) for c in range(gi.cols)] for r in range(gi.rows)]
+        lhs = [[fld.coerce(gi[r, c] - fi[r, c]) for c in range(gi.cols)] for r in range(gi.rows)]
         dk = mul(t.d(i - 1), k.component(i))
         kd = mul(k.component(i + 1), s.d(i))
-        rhs = [[fld.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(dk, kd)]
+        rhs = [[fld.coerce(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(dk, kd)]
         if lhs != rhs:
             return False
     return True
@@ -230,7 +230,7 @@ def corrupt_one_entry(rng, m):
     i = rng.choice(nonempty)
     rows = m.component(i).to_rows()
     r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
-    rows[r][c] = fld.add(rows[r][c], fld.one())
+    rows[r][c] = fld.coerce(rows[r][c] + 1)
     comps = {j: m.component(j) for j in m.window}
     comps[i] = Matrix.from_rows(fld, rows)
     return type(m).create(m.source, m.target, comps)
@@ -375,7 +375,7 @@ def test_find_homotopy_none_when_cohomology_differs(field):
             continue
         i = rng.choice(nonempty)
         other = [[row[:] for row in m] for m in coh]
-        other[i][0][0] = field.add(field.coerce(other[i][0][0]), field.one())
+        other[i][0][0] = field.coerce(other[i][0][0] + 1)
         f = standard_chain_map(rng, a, b, coh)
         g = standard_chain_map(rng, a, b, other)
         assert find_homotopy(f, g) is None
@@ -403,7 +403,7 @@ def test_find_homotopy_none_when_difference_is_not_a_chain_map(field):
         m = g.components[j]
         e = list(m.entries)
         spot = rng.randrange(len(e))
-        e[spot] = field.add(e[spot], field.one())
+        e[spot] = field.coerce(e[spot] + 1)
         bumped = Matrix(m.rows, m.cols, tuple(e), field)
         g = ChainMap(g.source, g.target, g.components[:j] + (bumped,) + g.components[j + 1 :])
         # f is a chain map, so g - f is one exactly when g is

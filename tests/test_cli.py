@@ -456,17 +456,22 @@ def test_unknown_command_is_quoted_briefly(capsys, session_file):
     assert len(first) < 100
 
 
-def test_many_distinct_rational_denominators_parse_in_bounded_memory(capsys, tmp_path):
-    # 6,400 distinct 19-bit prime denominators: their lcm has about 120,000
-    # bits, so scaling every entry to it would take about 100 MB
-    n = 80
+def _distinct_prime_reciprocals(n):
+    """An n x n matrix of 1/q over distinct 19-bit primes q, as session rows."""
     sieve = bytearray([1]) * 2**19
     sieve[:2] = b"\0\0"
     for i in range(2, 2**10):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, 2**19, i)))
     primes = [i for i in range(2**18, 2**19) if sieve[i]][: n * n]
-    rows = [[f"1/{primes[i * n + j]}" for j in range(n)] for i in range(n)]
+    return [[f"1/{primes[i * n + j]}" for j in range(n)] for i in range(n)]
+
+
+def test_many_distinct_rational_denominators_parse_in_bounded_memory(capsys, tmp_path):
+    # 6,400 distinct 19-bit prime denominators: their lcm has about 120,000
+    # bits, so scaling every entry to it would take about 100 MB
+    n = 80
+    rows = _distinct_prime_reciprocals(n)
     doc = {"field": {"kind": "rational"}, "objects": {"A": {"dims": {"0": n, "1": n}, "diff": {"0": rows}}}}
     path = tmp_path / "denominators.json"
     path.write_text(json.dumps(doc))
@@ -480,6 +485,23 @@ def test_many_distinct_rational_denominators_parse_in_bounded_memory(capsys, tmp
     assert err == ""
     assert json.loads(out) == {"command": "validate", "ok": True}
     assert peak < 2**23
+
+
+def test_product_with_many_distinct_denominators_is_checked_at_parse(capsys, tmp_path):
+    # d^1 d^0 for an all-ones d^1 sums 80 reciprocals of distinct primes per
+    # entry: its common denominators are far past the bound of the integer form
+    n = 80
+    rows = _distinct_prime_reciprocals(n)
+    ones = [[1] * n for _ in range(n)]
+    dims = {"0": n, "1": n, "2": n}
+    doc = {"field": {"kind": "rational"}, "objects": {"A": {"dims": dims, "diff": {"0": rows, "1": ones}}}}
+    path = tmp_path / "not_a_complex.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "InvalidComplexError" in err and "degree 0" in err
+    assert "Traceback" not in err
 
 
 def _nested(depth):

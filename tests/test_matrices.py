@@ -6,11 +6,13 @@ exhaustive vector enumeration over F2, and entry-wise comparison of the
 entries tuples for equality and hashing.
 """
 
+import inspect
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -21,10 +23,15 @@ from hypothesis import strategies as st
 from homcat import (
     FieldSpec,
     Matrix,
+    block,
     block_diag,
     hstack,
     kernel_basis,
+    mat_add,
     mat_mul,
+    mat_neg,
+    mat_scale,
+    mat_sub,
     rank,
     rref,
     solve_linear,
@@ -46,7 +53,7 @@ def naive_matmul(a, b):
         for j in range(b.cols):
             acc = f.zero()
             for t in range(a.cols):
-                acc = f.add(acc, f.mul(a[i, t], b[t, j]))
+                acc = f.coerce(acc + a[i, t] * b[t, j])
             row.append(acc)
         out.append(row)
     return Matrix.from_rows(f, out, cols=b.cols)
@@ -68,8 +75,8 @@ def det_cofactor(m):
             f, n - 1, n - 1,
             lambda r, c, j=j: m[r + 1, c if c < j else c + 1],
         )
-        term = f.mul(m[0, j], det_cofactor(minor))
-        acc = f.add(acc, term if j % 2 == 0 else f.neg(term))
+        term = f.coerce(m[0, j] * det_cofactor(minor))
+        acc = f.coerce(acc + term if j % 2 == 0 else acc - term)
     return acc
 
 
@@ -380,6 +387,132 @@ def test_equality_and_hash_agree_with_entrywise_equality(field, data):
         assert {a: 1}[b] == 1
 
 
+# every matrix operation against its per-scalar reference
+
+
+def _assert_matches(got, rows, cols, want):
+    """``got`` is the rows x cols matrix of the canonical scalars ``want``,
+    with the integer form and hash of a matrix built from them directly."""
+    field = got.field
+    ref = Matrix(rows, cols, tuple(want), field)
+    assert (got.rows, got.cols) == (rows, cols)
+    # the form, hash and zero test first, before any entry of got is read
+    assert got.int_form() == ref.int_form()
+    assert hash(got) == hash(ref) and got == ref
+    assert got.is_zero() is ref.is_zero()
+    assert got.entries == ref.entries
+    if field.kind == "prime":
+        assert all(type(x) is int and 0 <= x < field.p for x in got.entries)
+    else:
+        assert all(type(x) is Fraction for x in got.entries)
+
+
+def _operands(field, rows, cols):
+    """A matrix of random scalars, half the time passed through two
+    transposes so that over Q it holds only its integer form."""
+    return st.tuples(_matrices(field, rows, cols), st.booleans()).map(
+        lambda mb: transpose(transpose(mb[0])) if mb[1] else mb[0]
+    )
+
+
+def _cells(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _draw_op(field, op, data):
+    """Run ``op`` on drawn operands; return (result, rows, cols, reference entries)."""
+    dim = st.integers(0, 4)
+    if op == "zeros":
+        r, c = data.draw(dim), data.draw(dim)
+        return Matrix.zeros(field, r, c), r, c, [field.zero()] * (r * c)
+    if op == "identity":
+        n = data.draw(dim)
+        return Matrix.identity(field, n), n, n, [field.one() if i == j else field.zero()
+                                                 for i in range(n) for j in range(n)]
+    if op == "block":
+        hs, ws = data.draw(st.tuples(dim, dim)), data.draw(st.tuples(dim, dim))
+        grid = [[data.draw(_operands(field, h, w)) for w in ws] for h in hs]
+        got = block(field, grid)
+        want = [x for row in grid for i in range(row[0].rows) for m in row for x in _cells(m)[i]]
+        return got, sum(hs), sum(ws), want
+    if op == "mat_mul":
+        m, k, n = data.draw(st.tuples(dim, dim, dim))
+        a, b = data.draw(_operands(field, m, k)), data.draw(_operands(field, k, n))
+        return mat_mul(a, b), m, n, naive_matmul(a, b).entries
+    r, c = data.draw(dim), data.draw(dim)
+    a = data.draw(_operands(field, r, c))
+    if op in ("mat_add", "mat_sub"):
+        b = data.draw(_operands(field, r, c))
+        if data.draw(st.booleans()):
+            # b chosen so the result is a fresh small matrix: over Q a sum
+            # of operands past the denominator bound may come back under it
+            small = data.draw(_matrices(field, r, c, st.integers(-3, 3).map(field.coerce)))
+            flat = [field.coerce(s - x) if op == "mat_add" else field.coerce(x - s)
+                    for x, s in zip(a.entries, small.entries)]
+            b = Matrix(r, c, tuple(flat), field)
+        sign = 1 if op == "mat_add" else -1
+        want = [field.coerce(x + sign * y) for x, y in zip(a.entries, b.entries)]
+        return (mat_add if op == "mat_add" else mat_sub)(a, b), r, c, want
+    if op == "mat_neg":
+        return mat_neg(a), r, c, [field.coerce(-x) for x in a.entries]
+    if op == "mat_scale":
+        k = data.draw(st.one_of(st.integers(-9, 9), _scalars(field)))
+        return mat_scale(k, a), r, c, [field.coerce(field.coerce(k) * x) for x in a.entries]
+    if op == "transpose":
+        return transpose(a), c, r, [x for j in range(c) for x in (row[j] for row in _cells(a))]
+    size = r if op == "take_rows" else c
+    which = data.draw(st.lists(st.integers(0, size - 1), max_size=5)) if size else []
+    if op == "take_rows":
+        return a.take_rows(which), len(which), c, [x for i in which for x in _cells(a)[i]]
+    return a.take_columns(which), r, len(which), [row[j] for row in _cells(a) for j in which]
+
+
+_OPS = ["mat_mul", "mat_add", "mat_sub", "mat_neg", "mat_scale", "transpose", "block",
+        "take_rows", "take_columns", "zeros", "identity"]
+
+
+@pytest.mark.parametrize("op", _OPS)
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_operations_match_per_scalar_reference(field, op, data):
+    _assert_matches(*_draw_op(field, op, data))
+
+
+def test_prime_entries_stay_a_plain_slot():
+    # only a Q matrix built from its form leaves the slot unset
+    assert isinstance(inspect.getattr_static(Matrix, "entries"), types.MemberDescriptorType)
+    m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
+    for got in (mat_add(m, m), transpose(m), m.take_rows([1]), Matrix.zeros(F5, 2, 2)):
+        Matrix.entries.__get__(got)  # set at construction: no AttributeError
+
+
+def test_rational_results_cross_the_denominator_bound_both_ways():
+    m61, m89 = 2**61 - 1, 2**89 - 1  # primes: every lcm of them is their product
+    low = Matrix.from_rows(Q, [[Fraction(1, m61), 2], [0, Fraction(3, m61)]])
+    high = Matrix.from_rows(Q, [[Fraction(1, m89), 0], [1, Fraction(-1, m89)]])
+    assert (low.int_form()[0], high.int_form()[0]) == (m61, m89)
+    both = mat_add(low, high)  # D = m61 m89 has 150 bits
+    _assert_matches(both, 2, 2, [x + y for x, y in zip(low.entries, high.entries)])
+    assert both.int_form()[0] == 0
+    back = mat_sub(both, high)
+    _assert_matches(back, 2, 2, low.entries)
+    assert back.int_form()[0] == m61
+    scaled = mat_scale(Fraction(1, m89), low)
+    _assert_matches(scaled, 2, 2, [x / m89 for x in low.entries])
+    assert scaled.int_form()[0] == 0
+    for a, b in [(low, high), (both, low), (low, both), (both, both)]:
+        _assert_matches(mat_mul(a, b), 2, 2, naive_matmul(a, b).entries)
+    clear = Matrix.from_rows(Q, [[m61 * m89, 0], [0, m61 * m89]])
+    down = mat_mul(both, clear)
+    _assert_matches(down, 2, 2, naive_matmul(both, clear).entries)
+    assert down.int_form()[0] == 1
+    wide = block(Q, [[low, high]])
+    _assert_matches(wide, 2, 4, [*low.row(0), *high.row(0), *low.row(1), *high.row(1)])
+    assert wide.int_form()[0] == 0
+    _assert_matches(wide.take_columns([0, 1]), 2, 2, low.entries)
+    assert wide.take_columns([0, 1]).int_form()[0] == m61
+
 def test_rational_form_keeps_fractions_past_a_large_common_denominator():
     # 7 (2^61 - 1)(2^89 - 1) has 153 bits: too large to scale every entry by
     rows = [[Fraction(1, 2**61 - 1), Fraction(-1, 2**89 - 1)], [3, Fraction(5, 7)]]
@@ -410,11 +543,16 @@ def test_pickled_hash_matches_a_fresh_matrix_under_another_hash_seed():
     build = textwrap.dedent(
         """
         from fractions import Fraction
-        from homcat import FieldSpec, Matrix
+        from homcat import FieldSpec, Matrix, mat_mul
         mats = [
             Matrix.from_rows(FieldSpec.rational(), [[Fraction(1, 3), Fraction(-5, 2**70)], [2**80, 0]]),
             Matrix.from_rows(FieldSpec.prime(2**31 - 1), [[1, 2, 3]]),
             Matrix.zeros(FieldSpec.prime(5), 0, 2),
+            # held as its integer form only, entries never read before pickling
+            mat_mul(
+                Matrix.from_rows(FieldSpec.rational(), [[Fraction(1, 3), 2], [Fraction(-5, 7), 1]]),
+                Matrix.from_rows(FieldSpec.rational(), [[Fraction(3, 2), 0], [1, Fraction(2, 9)]]),
+            ),
         ]
         """
     )
@@ -423,6 +561,12 @@ def test_pickled_hash_matches_a_fresh_matrix_under_another_hash_seed():
         import pickle, sys
         for m in mats:
             hash(m)  # fill the cache, so the pickle carries it
+        try:
+            Matrix.entries.__get__(mats[-1])
+        except AttributeError:
+            pass
+        else:
+            raise SystemExit("the product built its entries before pickling")
         sys.stdout.buffer.write(pickle.dumps(mats))
         """
     )
@@ -433,6 +577,7 @@ def test_pickled_hash_matches_a_fresh_matrix_under_another_hash_seed():
         for old, new in zip(loaded, mats, strict=True):
             assert old._hash is not None, "the pickle dropped the cached hash"
             assert hash(old) == hash(new) and old == new
+            assert old.entries == new.entries and old.int_form() == new.int_form()
             assert {old: "found"}[new] == "found" and {new: "found"}[old] == "found"
         print(hash("prime"))
         """

@@ -81,7 +81,7 @@ def test_flip_point_example(field):
     k = res.k_complex
     assert (k.lo, k.hi) == (0, 1)
     assert k.dim(0) == 2 and k.dim(1) == 1
-    minus_one = field.neg(field.one())
+    minus_one = field.coerce(-1)
     assert k.d(0) == Matrix.from_rows(field, [[minus_one, minus_one]])
     assert cohomology(k, 0).dim == 1
     assert cohomology(k, 1).dim == 0
