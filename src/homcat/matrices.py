@@ -3,9 +3,12 @@
 Storage is row-major and flat, so Matrix values are immutable and
 hashable.  Empty shapes (0 x n, n x 0) are first class.  Reduction is
 Gauss-Jordan with deterministic pivoting: leftmost pivot column, first
-nonzero row.  Prime-field reductions run on int64 numpy arrays; with
-p < 2^31 every intermediate value of an elimination step is below 2^63
-in magnitude, so the fast path is still exact integer arithmetic.
+nonzero row.  Over F_p a reduction holds each row as one packed Python
+integer, one fixed-width slot per column, and adds (p - f) times the
+pivot row to a row whose pivot-column slot is f mod p.  Every slot stays
+non-negative and grows by at most (p-1)^2 per pivot, so slots sized for
+p-1 + min(rows, cols)(p-1)^2 never carry into each other, and one big
+integer multiply-add updates a whole row.
 
 Every matrix has a canonical integer form (D, ints): entries == ints / D,
 where D = 1 with ints = entries over F_p, and over Q D is the least
@@ -25,22 +28,24 @@ indexing, rows and emission.  Only an input with D = 0, or a result
 whose reduced D passes the bound, works on Fraction entries.
 
 Products multiply integers and reduce once per output entry (delayed
-reduction, as in FFLAS-FFPACK): int64 numpy while n(p-1)^2 < 2^63, else
-Python integers and then % p, or over Q one gcd for the whole product.
-A Q factor with D = 0 makes the product scale each row of the left
-factor and each column of the right factor by its own lcm, and write
-one Fraction(x, r_i c_j) per entry.
+reduction, as in FFLAS-FFPACK).  Over F_p each row of the right factor
+is packed into one integer with slots wide enough for n(p-1)^2
+(Kronecker substitution), so a row of the product is one sum of n
+integer products, unpacked and then reduced % p.  Over Q the product
+takes one gcd for the whole result.  A Q factor with D = 0 makes the
+product scale each row of the left factor and each column of the right
+factor by its own lcm, and write one Fraction(x, r_i c_j) per entry.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from sys import byteorder
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeMismatchError
 from .fields import FieldSpec
@@ -406,16 +411,36 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 # -- multiplication ---------------------------------------------------------
 
 
-def _np_of(m: Matrix) -> np.ndarray:
-    return np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+# the native unsigned array codes by item size, for packing and unpacking
+# slots of 1, 2, 4 or 8 bytes in C; other widths go through bytes slices
+_ARRAY_CODE = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _of_np(arr: np.ndarray, field: FieldSpec) -> Matrix:
-    return Matrix(arr.shape[0], arr.shape[1], tuple(int(x) for x in arr.ravel()), field)
+def _slot_bytes(bound: int) -> int:
+    """The fewest bytes of a slot that holds every integer in [0, bound]."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack_rows(flat: Sequence[int], rows: int, cols: int, nb: int) -> list[int]:
+    """One integer per row of the row-major ``flat``, column j in the nb-byte
+    slot j counted from the low end; every value must fit its slot."""
+    code = _ARRAY_CODE.get(nb)
+    data = array(code, flat).tobytes() if code else b"".join(x.to_bytes(nb, byteorder) for x in flat)
+    step = cols * nb
+    return [int.from_bytes(data[i * step : (i + 1) * step], byteorder) for i in range(rows)]
+
+
+def _unpack_rows(packed: Iterable[int], cols: int, nb: int) -> Sequence[int]:
+    """The slot values of the packed rows, flat and row-major: the inverse of _pack_rows."""
+    data = b"".join(x.to_bytes(cols * nb, byteorder) for x in packed)
+    code = _ARRAY_CODE.get(nb)
+    if code:
+        return memoryview(data).cast(code)
+    return [int.from_bytes(data[i : i + nb], byteorder) for i in range(0, len(data), nb)]
 
 
 def _dot(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
-    """Every row times every column, row-major: the one integer product kernel."""
+    """Every row times every column, row-major: the integer product kernel over Q."""
     return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
@@ -432,16 +457,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     f = a.field
     p = f.p
     n, m = a.cols, b.cols
-    # the int64 dot is exact only while the accumulated sum cannot reach
-    # 2^63; otherwise multiply Python integers
-    if p is not None and n * (p - 1) * (p - 1) < 2**63:
-        return _of_np((_np_of(a) @ _np_of(b)) % p, f)
+    if p is not None:
+        # a slot of a row of the product sums n products below (p-1)^2
+        nb = _slot_bytes(n * (p - 1) * (p - 1))
+        packed = _pack_rows(b.entries, n, m, nb)
+        av = a.entries
+        sums = [sum(map(mul, av[i * n : (i + 1) * n], packed)) for i in range(a.rows)]
+        return Matrix(a.rows, m, tuple([x % p for x in _unpack_rows(sums, m, nb)]), f)
     da, ai = a.int_form()
     db, bi = b.int_form()
     if da and db:
         sums = _dot([ai[i * n : (i + 1) * n] for i in range(a.rows)], [bi[j::m] for j in range(m)])
-        if p is not None:
-            return Matrix(a.rows, m, tuple(x % p for x in sums), f)
         return _rational(a.rows, m, da * db, sums, f)
     # no small common denominator: scale by the lcm of each row of a and
     # of each column of b instead, so no sum grows past its own terms
@@ -456,29 +482,38 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def _rref_prime(m: Matrix) -> RrefResult:
     p = m.field.p
-    arr = _np_of(m)
     nrows, ncols = m.rows, m.cols
+    # a row starts below p and absorbs at most (p-1)^2 per pivot
+    nb = _slot_bytes(p - 1 + min(nrows, ncols) * (p - 1) * (p - 1))
+    width = 8 * nb
+    mask = (1 << width) - 1
+    rows = _pack_rows(m.entries, nrows, ncols, nb)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(arr[r:, c])[0]
-        if nz.size == 0:
+        shift = c * width
+        sel = next((i for i in range(r, nrows) if ((rows[i] >> shift) & mask) % p), None)
+        if sel is None:
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            arr[[r, sel]] = arr[[sel, r]]
-        inv = pow(int(arr[r, c]), -1, p)
-        arr[r] = (arr[r] * inv) % p
-        col = arr[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            arr[touched] = (arr[touched] - np.outer(col[touched], arr[r])) % p
+        rows[r], rows[sel] = rows[sel], rows[r]
+        # the pivot row is 0 mod p left of c: scale the slots from c on
+        # below p and leave the ones left of c at 0
+        tail = rows[r] >> shift
+        inv = pow(tail & mask, -1, p)
+        scaled = [x * inv % p for x in _unpack_rows((tail,), ncols - c, nb)]
+        pivot_row = rows[r] = _pack_rows(scaled, 1, ncols - c, nb)[0] << shift
+        for i in range(nrows):
+            if i != r:
+                x = ((rows[i] >> shift) & mask) % p
+                if x:
+                    # p - x, not -x: every slot stays non-negative
+                    rows[i] += (p - x) * pivot_row
         pivots.append(c)
         r += 1
-    return RrefResult(_of_np(arr, m.field), tuple(pivots))
+    flat = tuple([x % p for x in _unpack_rows(rows, ncols, nb)])
+    return RrefResult(Matrix(nrows, ncols, flat, m.field), tuple(pivots))
 
 
 def _rref_rational(m: Matrix) -> RrefResult:

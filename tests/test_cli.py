@@ -1,11 +1,13 @@
 """Command line driver: reports, fragments, exit-code discipline.
 
-Most tests call main() in process; one subprocess test confirms the
-installed console script wires up to the same entry point.
+Most tests call main() in process; subprocess tests confirm that the
+installed console script wires up to the same entry point and that
+every command runs, with the same stdout, when numpy is unimportable.
 """
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -324,6 +326,67 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] is True
+
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# a prelude that makes numpy unimportable in the process that runs it
+_REFUSE_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is unimportable here")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+# every command on the SESSION fixture, each verdict both ways where it has two
+_FIXTURE_INVOCATIONS = [
+    ["--help"],
+    ["validate", "FILE"],
+    ["cohomology", "FILE", "A"],
+    ["shift", "FILE", "A", "1"],
+    ["cone", "FILE", "idA"],
+    ["les", "FILE", "idA"],
+    ["homotopic", "FILE", "idA", "zA"],
+    ["homotopic", "FILE", "idP", "zP"],
+    ["qis", "FILE", "idA"],
+    ["qis", "FILE", "zA"],
+    ["flip", "FILE", "idP", "idP"],
+    ["compose", "FILE", "rid", "rz"],
+    ["roof-equiv", "FILE", "rid", "rid", "--witness", "P", "idP", "idP", "idP", "idP"],
+    ["roof-equiv", "FILE", "rid", "rz", "--witness", "P", "idP", "idP", "idP", "idP"],
+    ["lift", "FILE", "zP"],
+]
+
+
+def _python(code, *args, refuse_numpy=False):
+    prelude = _REFUSE_NUMPY if refuse_numpy else ""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", prelude + code, *args], env=env, capture_output=True, timeout=120)
+
+
+def test_homcat_runs_with_numpy_unimportable(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(SESSION))
+    check = "import sys\nimport homcat.cli\nassert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = _python(check)
+    assert proc.returncode == 0, proc.stderr.decode()
+    proc = _python("import homcat", refuse_numpy=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    # python -m homcat.cli ARGS, with and without the prelude
+    as_main = "import runpy\nrunpy.run_module('homcat.cli', run_name='__main__', alter_sys=True)"
+    for invocation in _FIXTURE_INVOCATIONS:
+        argv = [str(path) if x == "FILE" else x for x in invocation]
+        plain = _python(as_main, *argv)
+        refused = _python(as_main, *argv, refuse_numpy=True)
+        assert plain.returncode in (0, 1), (invocation, plain.stderr.decode())
+        assert (refused.returncode, refused.stdout) == (plain.returncode, plain.stdout), invocation
+        assert plain.stdout
 
 
 def test_stdout_stderr_separation(capsys, session_file):

@@ -59,6 +59,29 @@ def naive_matmul(a, b):
     return Matrix.from_rows(f, out, cols=b.cols)
 
 
+def naive_rref(m):
+    """Gauss-Jordan one scalar at a time over F_p, leftmost pivot column and
+    first nonzero row; the reduction oracle.  Returns (matrix, pivots)."""
+    f = m.field
+    p = f.p
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [f.coerce(x * inv) for x in rows[r]]
+        for i in range(m.rows):
+            fac = rows[i][c]
+            if i != r and fac != 0:
+                rows[i] = [f.coerce(x - fac * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return Matrix.from_rows(f, rows, cols=m.cols), tuple(pivots)
+
+
 def det_cofactor(m):
     """Determinant by first-row cofactor expansion; the rank oracle for
     small square matrices (det != 0 iff full rank)."""
@@ -135,8 +158,9 @@ def test_matmul_associative(field):
 
 
 def test_matmul_large_prime_stays_exact():
-    # modulus large enough that the overflow guard rejects the numpy
-    # product path; result must agree with the naive oracle anyway
+    # modulus large enough that a product slot needs more than 8 bytes
+    # once the inner dimension passes 4; result must agree with the naive
+    # oracle anyway
     big = FieldSpec.prime((1 << 31) - 1)
     rng = random.Random(3)
     a = random_matrix(rng, big, 4, 5)
@@ -477,6 +501,82 @@ _OPS = ["mat_mul", "mat_add", "mat_sub", "mat_neg", "mat_scale", "transpose", "b
 @given(data=st.data())
 def test_operations_match_per_scalar_reference(field, op, data):
     _assert_matches(*_draw_op(field, op, data))
+
+
+# the packed F_p kernels against the per-scalar references, at every slot
+# width: products of inner dimension 1..6 take slots of 1 (p = 2, 3), 2
+# (17), 3 (257), 4 (4099), 5 (65537), and 8 or 9 bytes (2^31 - 1)
+
+_PACKED_PRIMES = [2, 3, 17, 257, 4099, 65537, 2**31 - 1]
+
+
+def _full_slots(p):
+    """Scalars biased toward 0 and p - 1, the value that fills a slot most."""
+    return st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+
+def _assert_rref_matches(m):
+    red, pivots = rref(m)
+    want, want_pivots = naive_rref(m)
+    assert pivots == want_pivots
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert red.entries == want.entries
+    assert all(type(x) is int for x in red.entries)
+    return pivots
+
+
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+@_SETTINGS
+@given(data=st.data())
+def test_packed_kernels_match_per_scalar_references(p, data):
+    field = FieldSpec.prime(p)
+    m, k, n = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)))
+    a = data.draw(_matrices(field, m, k, _full_slots(p)))
+    b = data.draw(_matrices(field, k, n, _full_slots(p)))
+    product = mat_mul(a, b)
+    assert product.entries == naive_matmul(a, b).entries
+    assert all(type(x) is int for x in product.entries)
+    # a, b and a product of rank at most k, in tall, wide and empty shapes
+    for x in (a, b, product):
+        _assert_rref_matches(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_matmul_slot_widens_past_eight_bytes_at_large_prime(k):
+    # every product is (p-1)^2: k of them fill 8 bytes up to k = 4 and
+    # need 9 from k = 5 on
+    p = 2**31 - 1
+    field = FieldSpec.prime(p)
+    a = Matrix(2, k, (p - 1,) * (2 * k), field)
+    b = Matrix(k, 3, (p - 1,) * (3 * k), field)
+    got = mat_mul(a, b)
+    assert got.entries == (k,) * 6 == naive_matmul(a, b).entries
+
+
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 6), (3, 7), (5, 6)])
+def test_rref_of_full_rank_square_and_wide_matrices(p, shape):
+    # L U with L unit lower triangular and U upper trapezoidal, both p - 1
+    # off (and for U on) the diagonal: dense, and of rank min(rows, cols)
+    rows, cols = shape
+    field = FieldSpec.prime(p)
+    lower = Matrix.from_rows(field, [[1 if i == j else (p - 1 if j < i else 0) for j in range(rows)]
+                                     for i in range(rows)])
+    upper = Matrix.from_rows(field, [[p - 1 if j >= i else 0 for j in range(cols)] for i in range(rows)])
+    m = naive_matmul(lower, upper)
+    assert _assert_rref_matches(m) == tuple(range(min(rows, cols)))
+
+
+def test_rref_slot_holds_one_update_per_pivot():
+    # over F_2 the last row (all ones) absorbs a 1 in its last slot from
+    # each of the 255 pivots on top of its own 1: the slot reaches 256,
+    # one past a byte, so the slots must be sized for min(rows, cols) pivots
+    n = 255
+    rows = [[1 if j in (i, n - 1) else 0 for j in range(n)] for i in range(n - 1)]
+    rows += [[1 if j == n - 1 else 0 for j in range(n)], [1] * n]
+    red, pivots = rref(Matrix.from_rows(F2, rows))
+    assert pivots == tuple(range(n))
+    assert red == block(F2, [[Matrix.identity(F2, n)], [Matrix.zeros(F2, 1, n)]])
 
 
 def test_prime_entries_stay_a_plain_slot():
