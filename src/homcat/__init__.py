@@ -77,9 +77,7 @@ from .matrices import (
     mat_sub,
     rank,
     rref,
-    solve_linear,
     transpose,
-    vstack,
 )
 from .roofs import (
     Cospan,
@@ -158,12 +156,10 @@ __all__ = [
     "rref",
     "shift",
     "shift_chain_map",
-    "solve_linear",
     "transpose",
     "validate_chain_map",
     "validate_complex",
     "verify_roof_equivalence",
-    "vstack",
     "zero_chain_map",
     "zero_homotopy",
 ]

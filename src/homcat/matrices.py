@@ -64,7 +64,6 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "solve_linear",
 ]
 
 # the bit length of the largest common denominator a Q matrix scales its
@@ -135,11 +134,6 @@ class Matrix:
         for i in range(n):
             flat[i * n + i] = 1
         return _integral(field, n, n, tuple(flat))
-
-    @classmethod
-    def build(cls, field: FieldSpec, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Matrix":
-        flat = tuple(fn(i, j) for i in range(rows) for j in range(cols))
-        return cls(rows, cols, flat, field)
 
     # -- access ------------------------------------------------------------
 
@@ -390,12 +384,6 @@ def hstack(*mats: Matrix) -> Matrix:
     return block(mats[0].field, [list(mats)])
 
 
-def vstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeMismatchError("vstack needs at least one block")
-    return block(mats[0].field, [[m] for m in mats])
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     _require_same_field(a, b)
     f = a.field
@@ -554,24 +542,3 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> Matrix:
     """The canonical null space basis of ``m``; see RrefResult.kernel_basis."""
     return rref(m).kernel_basis()
-
-
-def solve_linear(m: Matrix, b: Matrix) -> Optional[Matrix]:
-    """A particular solution x of m x = b (free variables zero), or None.
-
-    ``b`` may carry several right-hand sides as columns; unsolvable
-    systems are a regular None outcome, not an error.
-    """
-    _require_same_field(m, b)
-    if m.rows != b.rows:
-        raise ShapeMismatchError(f"solve {m.rows}x{m.cols} against rhs with {b.rows} rows")
-    aug = hstack(m, b)
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] >= m.cols:
-        return None
-    f = m.field
-    flat = [f.zero()] * (m.cols * b.cols)
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            flat[pc * b.cols + j] = red[r, m.cols + j]
-    return Matrix(m.cols, b.cols, tuple(flat), f)

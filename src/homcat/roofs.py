@@ -18,6 +18,12 @@ projections gamma2 = (id, 0, 0): K -> L and gamma1 = (0, -id, 0):
 K -> M close the square up to the explicit homotopy h^i = (0, 0, -id),
 and gamma2 inherits quasi-isomorphy from beta.
 
+Every Roof and Cospan a caller builds is checked.  What the library
+builds from checked values is not checked again: the middle cospan of a
+composition (its beta is a checked roof's denominator), the composite
+roof (its denominator is a quasi-isomorphism by the flip) and a lifted
+map (its denominator is an identity).  The tests carry those proofs.
+
 Roof equivalence is only ever *verified* against a supplied five-part
 witness; the squares are checked in the homotopy category, so every
 comparison goes through find_homotopy rather than matrix equality.
@@ -31,7 +37,6 @@ from .chainmaps import (
     ChainMap,
     Homotopy,
     _require_valid_map,
-    check_homotopy,
     compose_chain_maps,
     find_homotopy,
     identity_chain_map,
@@ -39,7 +44,7 @@ from .chainmaps import (
 )
 from .complexes import CochainComplex
 from .errors import NotQuasiIsoError, ShapeMismatchError
-from .matrices import Matrix, block, mat_neg, mat_sub
+from .matrices import Matrix, block, mat_neg
 
 __all__ = [
     "Roof",
@@ -119,11 +124,9 @@ class RoofEquivalenceWitness:
 def flip_cospan(c: Cospan) -> FlipResult:
     """Flip a cospan into a span, returning the homotopy that closes it.
 
-    The construction is self checking: it checks the block identity
-    (alpha gamma2 - beta gamma1)^i = [alpha^i  beta^i  0], verifies the
-    witness through check_homotopy, and verifies gamma2 is a
-    quasi-isomorphism before returning; it raises RuntimeError if any of
-    these fails.
+    By construction (alpha gamma2 - beta gamma1)^i = [alpha^i  beta^i  0]
+    = (d h + h d)^i for the witness h, and gamma2 is a quasi-isomorphism
+    because beta is; nothing is re-checked at run time.
     """
     alpha, beta = c.alpha, c.beta
     big_l, big_m = alpha.source, beta.source
@@ -162,29 +165,24 @@ def flip_cospan(c: Cospan) -> FlipResult:
     gamma2 = ChainMap.create(k_complex, big_l, gamma2_comps)
     gamma1 = ChainMap.create(k_complex, big_m, gamma1_comps)
     witness = Homotopy.create(k_complex, kbar, witness_comps)
-
-    top = compose_chain_maps(gamma2, alpha)
-    bottom = compose_chain_maps(gamma1, beta)
-    for i in range(k_complex.lo, k_complex.hi + 1):
-        expected = block(
-            fld,
-            [[alpha.component(i), beta.component(i), Matrix.zeros(fld, kbar.dim(i), kbar.dim(i - 1))]],
-        )
-        if mat_sub(top.component(i), bottom.component(i)) != expected:
-            raise RuntimeError(f"flip difference is not (alpha, beta, 0) at degree {i}")
-    if not check_homotopy(bottom, top, witness):
-        raise RuntimeError("flip witness failed verification")
-    if not is_quasi_iso(gamma2):
-        raise RuntimeError("flip projection onto the wrong leg must be a quasi-isomorphism")
     return FlipResult(k_complex, gamma2, gamma1, witness)
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass ``cls`` built without running its __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def compose_roofs(r1: Roof, r2: Roof) -> Roof:
     """Compose A <- B' -> B with B <- C' -> C by flipping the middle cospan."""
     if r1.numer.target != r2.denom.target:
         raise ShapeMismatchError("roofs are not composable: middle objects differ")
-    flip = flip_cospan(Cospan(alpha=r1.numer, beta=r2.denom))
-    return Roof(
+    flip = flip_cospan(_unchecked(Cospan, alpha=r1.numer, beta=r2.denom))
+    return _unchecked(
+        Roof,
         apex=flip.k_complex,
         denom=compose_chain_maps(flip.gamma2, r1.denom),
         numer=compose_chain_maps(flip.gamma1, r2.numer),
@@ -194,7 +192,7 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
 def lift_map_to_roof(f: ChainMap) -> Roof:
     """A plain chain map as a roof with identity denominator."""
     _require_valid_map(f, "lifted map")
-    return Roof(apex=f.source, denom=identity_chain_map(f.source), numer=f)
+    return _unchecked(Roof, apex=f.source, denom=identity_chain_map(f.source), numer=f)
 
 
 def verify_roof_equivalence(r1: Roof, r2: Roof, w: RoofEquivalenceWitness) -> bool:

@@ -43,8 +43,8 @@ def random_scalar(rng, field):
 
 
 def random_matrix(rng, field, rows, cols):
-    return Matrix.build(
-        field, rows, cols, lambda i, j: random_scalar(rng, field)
+    return Matrix.from_rows(
+        field, [[random_scalar(rng, field) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
 
 
@@ -129,8 +129,8 @@ def random_chain_map(rng, a, b):
     for i in degs:
         base = offsets[i]
         m, n = b.dim(i), a.dim(i)
-        comps[i] = Matrix.build(
-            field, m, n, lambda r, c: vec[base + r * n + c]
+        comps[i] = Matrix.from_rows(
+            field, [vec[base + r * n : base + (r + 1) * n] for r in range(m)], cols=n
         )
     return ChainMap.create(a, b, comps)
 
@@ -171,9 +171,10 @@ def random_quasi_iso(rng, field, max_dim=4):
 
 def hstack_projection(field, m, extra):
     """The block matrix [I_m | 0] with extra zero columns."""
-    return Matrix.build(
-        field, m, m + extra,
-        lambda i, j: field.one() if i == j else field.zero(),
+    return Matrix.from_rows(
+        field,
+        [[field.one() if i == j else field.zero() for j in range(m + extra)] for i in range(m)],
+        cols=m + extra,
     )
 
 

@@ -150,15 +150,16 @@ def test_criterion_4_flip_end_to_end():
                 rows, cols = tgt.dim(i - 1), k.dim(i)
                 if rows == 0 or cols == 0:
                     continue
-                closed_form = Matrix.build(
+                closed_form = Matrix.from_rows(
                     F5,
-                    rows,
-                    cols,
-                    lambda r, c: (
-                        F5.coerce(-1)
-                        if c == big_l.dim(i) + big_m.dim(i) + r
-                        else F5.zero()
-                    ),
+                    [
+                        [
+                            F5.coerce(-1) if c == big_l.dim(i) + big_m.dim(i) + r else F5.zero()
+                            for c in range(cols)
+                        ]
+                        for r in range(rows)
+                    ],
+                    cols=cols,
                 )
                 assert res.witness.component(i) == closed_form
 

@@ -213,10 +213,10 @@ def test_cohomology_projection_kills_coboundaries():
             d_in = c.d(i - 1)
             if d_in.cols == 0 or space.cocycle_basis.cols == 0:
                 continue
-            from homcat import solve_linear
-
-            coords = solve_linear(space.cocycle_basis, d_in)
-            assert coords is not None
+            # the cocycle basis is the identity on the free rows, so the
+            # coordinates of the coboundaries are d_in read there
+            coords = d_in.take_rows(space.free_rows)
+            assert mat_mul(space.cocycle_basis, coords) == d_in
             assert mat_mul(space.projection, coords).is_zero()
 
 

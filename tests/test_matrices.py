@@ -25,7 +25,6 @@ from homcat import (
     Matrix,
     block,
     block_diag,
-    hstack,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -34,7 +33,6 @@ from homcat import (
     mat_sub,
     rank,
     rref,
-    solve_linear,
     transpose,
 )
 from randgen import F2, F5, Q, random_matrix
@@ -94,9 +92,10 @@ def det_cofactor(m):
         return m[0, 0]
     acc = f.zero()
     for j in range(n):
-        minor = Matrix.build(
-            f, n - 1, n - 1,
-            lambda r, c, j=j: m[r + 1, c if c < j else c + 1],
+        minor = Matrix.from_rows(
+            f,
+            [[m[r + 1, c if c < j else c + 1] for c in range(n - 1)] for r in range(n - 1)],
+            cols=n - 1,
         )
         term = f.coerce(m[0, j] * det_cofactor(minor))
         acc = f.coerce(acc + term if j % 2 == 0 else acc - term)
@@ -259,56 +258,6 @@ def test_kernel_columns_are_in_kernel_and_independent(field):
         assert rank(k) == k.cols
 
 
-# solve_linear
-
-
-def test_solve_identity():
-    b = Matrix.from_rows(F5, [[2], [3]])
-    assert solve_linear(Matrix.identity(F5, 2), b) == b
-
-
-def test_solve_f2_by_enumeration():
-    m = Matrix.from_rows(F2, [[1, 1]])
-    b = Matrix.from_rows(F2, [[1]])
-    candidates = [v for v in all_f2_vectors(2) if mat_mul(m, v) == b]
-    assert len(candidates) == 2  # (1,0) and (0,1)
-    x = solve_linear(m, b)
-    assert x is not None
-    assert rows_of(x) == [[1], [0]]  # free variable forced to 0
-    assert any(x == c for c in candidates)
-
-
-def test_solve_inconsistent():
-    m = Matrix.zeros(F5, 1, 1)
-    b = Matrix.from_rows(F5, [[1]])
-    assert solve_linear(m, b) is None
-
-
-@pytest.mark.parametrize("field", [F2, F5, Q])
-def test_solve_sound_and_complete(field):
-    rng = random.Random(59)
-    for _ in range(200):
-        m = random_matrix(rng, field, rng.randint(0, 5), rng.randint(0, 5))
-        b = random_matrix(rng, field, m.rows, 1)
-        x = solve_linear(m, b)
-        if x is not None:
-            assert mat_mul(m, x) == b
-        else:
-            assert rank(hstack(m, b)) > rank(m)
-
-
-@pytest.mark.parametrize("field", [F5, Q])
-def test_solve_multiple_rhs_columns(field):
-    rng = random.Random(61)
-    for _ in range(60):
-        m = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-        x0 = random_matrix(rng, field, m.cols, rng.randint(1, 3))
-        b = mat_mul(m, x0)
-        x = solve_linear(m, b)
-        assert x is not None
-        assert mat_mul(m, x) == b
-
-
 # block_diag and assembly
 
 
@@ -334,7 +283,6 @@ def test_empty_matrix_operations():
     assert rref(e).pivots == ()
     t = transpose(e)
     assert (t.rows, t.cols) == (3, 0)
-    assert solve_linear(t, Matrix.zeros(F5, 3, 1)) == Matrix.zeros(F5, 0, 1)
 
 
 def test_entries_are_canonical_prime_representatives():

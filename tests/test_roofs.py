@@ -19,6 +19,7 @@ from homcat import (
     NotQuasiIsoError,
     Roof,
     RoofEquivalenceWitness,
+    block,
     check_homotopy,
     check_les_exact,
     cohomology,
@@ -30,6 +31,7 @@ from homcat import (
     is_quasi_iso,
     lift_map_to_roof,
     mapping_cone,
+    mat_sub,
     shift,
     validate_chain_map,
     validate_complex,
@@ -127,6 +129,29 @@ def test_flip_witness_identity():
             assert check_homotopy(bottom, top, res.witness)
             rediscovered = find_homotopy(bottom, top)
             assert rediscovered is not None
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_flip_difference_is_alpha_beta_zero(field):
+    # (alpha gamma2 - beta gamma1)^i = [alpha^i | beta^i | 0], block order (L, M, Kbar)
+    rng = random.Random(6)
+    for _ in range(30):
+        cs = random_cospan(rng, field)
+        res = flip_cospan(cs)
+        top = compose_chain_maps(res.gamma2, cs.alpha)
+        bottom = compose_chain_maps(res.gamma1, cs.beta)
+        kbar = cs.alpha.target
+        for i in range(res.k_complex.lo, res.k_complex.hi + 1):
+            zero = Matrix.zeros(field, kbar.dim(i), kbar.dim(i - 1))
+            want = block(field, [[cs.alpha.component(i), cs.beta.component(i), zero]])
+            assert mat_sub(top.component(i), bottom.component(i)) == want
+
+
+def test_flip_gamma2_is_quasi_iso_over_q():
+    # over F_5 acceptance criterion 4 asserts it on 200 flips
+    rng = random.Random(8)
+    for _ in range(40):
+        assert is_quasi_iso(flip_cospan(random_cospan(rng, Q)).gamma2)
 
 
 def test_flip_alpha_zero():
@@ -237,6 +262,21 @@ def test_compose_output_is_roof():
         assert validate_chain_map(r.numer).ok
         assert r.denom.source == r.apex and r.numer.source == r.apex
         assert r.denom.target == a and r.numer.target == c
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_compose_genuine_roofs_has_qis_denominator(field):
+    # A <-s1- B1' -f1-> B <-s2- B2' -f2-> C with non-identity quasi-isos s1, s2
+    rng = random.Random(20)
+    for _ in range(20):
+        s1, s2 = random_quasi_iso(rng, field), random_quasi_iso(rng, field)
+        f1 = random_chain_map(rng, s1.source, s2.target)
+        c = random_complex(rng, field, max_dim=3)
+        f2 = random_chain_map(rng, s2.source, c)
+        r = compose_roofs(Roof(s1.source, s1, f1), Roof(s2.source, s2, f2))
+        assert r.denom.source == r.apex and r.numer.source == r.apex
+        assert r.denom.target == s1.target and r.numer.target == c
+        assert is_quasi_iso(r.denom)
 
 
 def test_compose_rejects_mismatched_roofs():
