@@ -66,6 +66,9 @@ class _GradedMap:
     components: tuple[Matrix, ...]
     # the degrees i whose component is stored; derived, so not compared
     window: range = dataclass_field(init=False, repr=False, compare=False)
+    # the hash, filled on first use from hashes that are the same in
+    # every process, as CochainComplex's and Matrix's are
+    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     degree: ClassVar[int]
     _noun: ClassVar[str]
@@ -107,6 +110,13 @@ class _GradedMap:
             if (m.rows, m.cols) != (target.dim(i + r), source.dim(i)):
                 raise ShapeMismatchError(f"{noun} at degree {i} does not fit")
         return cls(source, target, tuple(mats))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.degree, self.source, self.target, self.components))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def component(self, i: int) -> Matrix:
         window = self.window
@@ -228,7 +238,7 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     # D(k) = d k + k d is always a chain map, and it is zero on cohomology
     if not validate_chain_map(phi).ok:
         return None
-    if any(not induced_cohomology_map(phi, i).is_zero() for i in f.window):
+    if any(not _induced_map(phi, i).is_zero() for i in f.window):
         return None
     comps = {}
     for i in Homotopy._window(s, t):
@@ -270,6 +280,11 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
     quotient basis: this is proj_B f^i incl_A of the contraction data.
     """
     _require_valid_map(f, "square")
+    return _induced_map(f, i)
+
+
+def _induced_map(f: ChainMap, i: int) -> Matrix:
+    """induced_cohomology_map for an f already known to be a chain map."""
     hs = cohomology(f.source, i)
     ht = cohomology(f.target, i)
     image = mat_mul(f.component(i), hs.representatives())
@@ -278,10 +293,11 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
 
 def is_quasi_iso(f: ChainMap) -> bool:
     """True when H^i(f) is square and invertible at every degree."""
+    _require_valid_map(f, "square")
     lo = min(f.source.lo, f.target.lo)
     hi = max(f.source.hi, f.target.hi)
     for i in range(lo, hi + 1):
-        m = induced_cohomology_map(f, i)
+        m = _induced_map(f, i)
         if m.rows != m.cols:
             return False
         if rank(m) != m.rows:

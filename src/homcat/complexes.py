@@ -26,7 +26,7 @@ degree -1 homotopy between their composite and the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
@@ -71,6 +71,9 @@ class CochainComplex:
     hi: int
     dims: tuple[int, ...]
     diff: tuple[Matrix, ...]
+    # the hash, filled on first use; as for Matrix it reads p, never the
+    # FieldSpec (whose str hash is salted), so a pickled one stays valid
+    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -79,6 +82,13 @@ class CochainComplex:
             raise ShapeMismatchError("dims tuple does not span the window")
         if len(self.diff) != self.hi - self.lo:
             raise ShapeMismatchError("diff tuple does not span the window")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.field.p or 0, self.lo, self.hi, self.dims, self.diff))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def create(

@@ -20,10 +20,10 @@ from typing import NamedTuple, Optional
 from .chainmaps import (
     ChainMap,
     Homotopy,
+    _induced_map,
     _require_valid_map,
     check_homotopy,
     compose_chain_maps,
-    induced_cohomology_map,
     negate_chain_map,
     shift_chain_map,
     zero_homotopy,
@@ -131,11 +131,10 @@ def check_les_exact(t: Triangle) -> bool:
     x, y, z = t.f.source, t.f.target, t.g.target
     lo = min(x.lo, y.lo, z.lo) - 1
     hi = max(x.hi, y.hi, z.hi) + 1
-    maps = []
-    for i in range(lo, hi + 1):
-        maps.append(induced_cohomology_map(t.f, i))
-        maps.append(induced_cohomology_map(t.g, i))
-        maps.append(induced_cohomology_map(t.h, i))
+    legs = (t.f, t.g, t.h)
+    for leg in legs:
+        _require_valid_map(leg, "square")
+    maps = [_induced_map(leg, i) for i in range(lo, hi + 1) for leg in legs]
     for incoming, outgoing in zip(maps, maps[1:]):
         if outgoing.cols != incoming.rows:
             raise RuntimeError("triangle endpoints guarantee matching nodes")

@@ -8,7 +8,11 @@ integer, one fixed-width slot per column, and adds (p - f) times the
 pivot row to a row whose pivot-column slot is f mod p.  Every slot stays
 non-negative and grows by at most (p-1)^2 per pivot, so slots sized for
 p-1 + min(rows, cols)(p-1)^2 never carry into each other, and one big
-integer multiply-add updates a whole row.
+integer multiply-add updates a whole row.  Over Q a reduction is
+fraction-free (Bareiss) on the integer form below: every update is one
+exact integer division, the result is the reduced form times the last
+pivot d, and it is returned as that form over d, so no Fraction is
+built.  rank eliminates only below each pivot and builds no result.
 
 Every matrix has a canonical integer form (D, ints): entries == ints / D,
 where D = 1 with ints = entries over F_p, and over Q D is the least
@@ -22,10 +26,11 @@ once it is built, so a cache keyed by a matrix pays for the hash once.
 Over Q the form is the matrix.  Sums, differences, negation, scaling,
 products, transposes, blocks, row and column selections, zeros and
 identities compute their result's form from their inputs' forms on
-integers alone, reduced by one gcd of D with all the integers.  Such a
-result builds its Fraction entries only when they are read: by rref,
-indexing, rows and emission.  Only an input with D = 0, or a result
-whose reduced D passes the bound, works on Fraction entries.
+integers alone, reduced by one gcd of D with all the integers; so do
+rref and kernel_basis.  Such a result builds its Fraction entries only
+when they are read: by indexing, rows and emission.  Only an input with
+D = 0, or a result whose reduced D passes the bound, works on Fraction
+entries.
 
 Products multiply integers and reduce once per output entry (delayed
 reduction, as in FFLAS-FFPACK).  Over F_p each row of the right factor
@@ -268,13 +273,21 @@ class RrefResult(NamedTuple):
         f = red.field
         p = f.p
         free = self.free_columns()
-        flat = [f.zero()] * (red.cols * len(free))
+        n, cols = len(free), red.cols
+        # the basis times D, read off the integers of red's form; a Q
+        # form with D = 0 gives way to the Fraction entries over 1
+        den, ints = red.int_form()
+        values = ints if den else red.entries
+        flat = [0] * (cols * n)
         for t, j in enumerate(free):
-            flat[j * len(free) + t] = f.one()
+            flat[j * n + t] = den or 1
             for r, pc in enumerate(pivots):
-                x = red[r, j]
-                flat[pc * len(free) + t] = -x % p if p else -x
-        return Matrix(red.cols, len(free), tuple(flat), f)
+                flat[pc * n + t] = -values[r * cols + j]
+        if p is not None:
+            return Matrix(cols, n, tuple([x % p for x in flat]), f)
+        if den:
+            return _rational(cols, n, den, flat, f)
+        return Matrix(cols, n, tuple(map(Fraction, flat)), f)
 
 
 def _require_same_field(a: Matrix, b: Matrix) -> None:
@@ -504,28 +517,56 @@ def _rref_prime(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(nrows, ncols, flat, m.field), tuple(pivots))
 
 
-def _rref_rational(m: Matrix) -> RrefResult:
-    rows = m.to_rows()
+def _eliminate_rational(m: Matrix, back: bool) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of m's integer rows over Q.
+
+    The rows are the form's integers, or for D = 0 each row over its own
+    lcm: scaling a row changes neither the reduced form nor the rank.  At
+    each pivot pv every row r other than the pivot row y (every row when
+    ``back``, else only the rows below) becomes (pv r - r[c] y) // prev,
+    prev being the previous pivot, and the division is exact (every entry
+    is a minor of the rows), also for rows with r[c] = 0, which must be
+    updated for that reason.  Pivoting is leftmost column, first nonzero
+    row, as over F_p.  Returns the rows, the pivot columns and the last
+    pivot d; with ``back`` every pivot entry ends as d, so the rows are d
+    times the reduced form.
+    """
     nrows, ncols = m.rows, m.cols
+    den, ints = m.int_form()
+    if den:
+        rows = [list(ints[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
+    else:
+        rows = _over_own_lcm([m.row(i) for i in range(nrows)])[0]
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        sel = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
+        y = rows[r]
+        pv = y[c]
+        for i in range(0 if back else r + 1, nrows):
+            if i != r:
+                x = rows[i]
+                f = x[c]
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(x, y)]
+        prev = pv
         pivots.append(c)
         r += 1
-    flat = tuple(x for row in rows for x in row)
-    return RrefResult(Matrix(nrows, ncols, flat, m.field), tuple(pivots))
+    return rows, pivots, prev
+
+
+def _rref_rational(m: Matrix) -> RrefResult:
+    rows, pivots, d = _eliminate_rational(m, back=True)
+    if d < 0:
+        d = -d
+        rows = [[-x for x in row] for row in rows]
+    flat = [x for row in rows for x in row]
+    return RrefResult(_rational(m.rows, m.cols, d, flat, m.field), tuple(pivots))
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -536,7 +577,9 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m).pivots)
+    if m.field.kind == "prime":
+        return len(rref(m).pivots)
+    return len(_eliminate_rational(m, back=False)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -193,7 +193,7 @@ def _parse_matrix(fld: FieldSpec, value, where: str) -> Matrix:
     if not isinstance(value, list) or not value:
         raise SessionSyntaxError(f"{where}: a matrix is a non-empty list of rows")
     width = None
-    rows = []
+    flat = []
     for r, row in enumerate(value):
         if not isinstance(row, list) or not row:
             raise SessionSyntaxError(f"{where}: row {r} is not a non-empty list")
@@ -201,8 +201,9 @@ def _parse_matrix(fld: FieldSpec, value, where: str) -> Matrix:
             width = len(row)
         elif len(row) != width:
             raise SessionSyntaxError(f"{where}: row {r} has {len(row)} entries, expected {width}")
-        rows.append([_parse_scalar(fld, x, f"{where} row {r}") for x in row])
-    return Matrix.from_rows(fld, rows)
+        flat.extend([_parse_scalar(fld, x, f"{where} row {r}") for x in row])
+    # the scalars are canonical already, so they need no second coercion
+    return Matrix(len(value), width, tuple(flat), fld)
 
 
 def _table(doc: dict, key: str) -> dict:

@@ -658,3 +658,71 @@ def test_homotopy_equivalence_implies_qis():
     assert check_homotopy_equivalence(f, g, zero_homotopy(z, z), k_source)
     assert is_quasi_iso(f)
     assert is_quasi_iso(g)
+
+
+# complexes and graded maps hash once, the same way in every process
+
+
+def test_equal_distinct_complexes_and_maps_hash_equal():
+    def fresh(m):
+        return Matrix.from_rows(m.field, m.to_rows(), cols=m.cols)
+
+    rng = random.Random(31)
+    for field in (F5, Q):
+        for _ in range(10):
+            a, b = random_complex(rng, field), random_complex(rng, field)
+            f, k = random_chain_map(rng, a, b), random_homotopy(rng, a, b)
+            # rebuilt from fresh matrices, so no object is shared
+            a2, b2 = (CochainComplex(c.field, c.lo, c.hi, c.dims, tuple(map(fresh, c.diff))) for c in (a, b))
+            f2 = ChainMap(a2, b2, tuple(map(fresh, f.components)))
+            k2 = Homotopy(a2, b2, tuple(map(fresh, k.components)))
+            for old, new in ((a, a2), (b, b2), (f, f2), (k, k2)):
+                assert old is not new and old == new and hash(old) == hash(new)
+                assert {old: "found"}[new] == "found"
+
+
+def test_pickled_complex_and_map_hashes_match_fresh_ones_under_another_hash_seed():
+    build = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from homcat import ChainMap, CochainComplex, FieldSpec, Homotopy, Matrix
+        values = []
+        for field in (FieldSpec.rational(), FieldSpec.prime(2**31 - 1)):
+            one = Fraction(1, 3) if field.kind == "rational" else 5
+            a = CochainComplex.create(field, {0: 1, 1: 2}, {0: Matrix.from_rows(field, [[one], [2]])})
+            b = CochainComplex.create(field, {0: 1, 1: 1}, {0: Matrix.from_rows(field, [[one]])})
+            f = ChainMap.create(a, b, {0: Matrix.from_rows(field, [[1]]), 1: Matrix.from_rows(field, [[1, 0]])})
+            k = Homotopy.create(a, b, {1: Matrix.from_rows(field, [[one, 0]])})
+            values += [a, b, f, k]
+        """
+    )
+    write = build + textwrap.dedent(
+        """
+        import pickle, sys
+        for v in values:
+            hash(v)  # fill the cache, so the pickle carries it
+        sys.stdout.buffer.write(pickle.dumps(values))
+        """
+    )
+    read = build + textwrap.dedent(
+        """
+        import pickle, sys
+        loaded = pickle.loads(sys.stdin.buffer.read())
+        for old, new in zip(loaded, values, strict=True):
+            assert old._hash is not None, "the pickle dropped the cached hash"
+            assert hash(old) == hash(new) and old == new
+            assert {old: "found"}[new] == "found" and {new: "found"}[old] == "found"
+        print(hash("prime"))
+        """
+    )
+
+    def child(code, seed, stdin=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, input=stdin, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    blob = child(write, "1")
+    salt = child(read, "2", blob)
+    assert int(salt) != int(child('print(hash("prime"))', "1"))  # the seeds really salt str hashes

@@ -6,6 +6,7 @@ every command runs, with the same stdout, when numpy is unimportable.
 """
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -395,6 +396,84 @@ def test_stdout_stderr_separation(capsys, session_file):
     code, out, err = run(capsys, "qis", session_file, "ghost")
     assert out == ""
     assert err != ""
+
+
+# Q: the canonical bases and fragments pinned byte for byte
+
+
+# A and C have fractional differentials of deficient rank, so every
+# object has nonzero cohomology; f is a quasi-isomorphism A -> B, g is
+# not, and f2 = f + D(k) for k^1 = (1/5, -2)
+SESSION_Q = {
+    "field": {"kind": "rational"},
+    "objects": {
+        "A": {"dims": {"0": 2, "1": 2}, "diff": {"0": [["1/2", "1/3"], [1, "2/3"]]}},
+        "B": {"dims": {"0": 1, "1": 1}},
+        "C": {
+            "dims": {"-1": 1, "0": 3, "1": 2},
+            "diff": {"-1": [["1/2"], ["-1/3"], [0]], "0": [["2/3", 1, "7/4"], ["4/3", 2, "7/2"]]},
+        },
+    },
+    "maps": {
+        "idA": {"from": "A", "to": "A", "components": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [0, 1]]}},
+        "idC": {
+            "from": "C",
+            "to": "C",
+            "components": {"-1": [[1]], "0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "1": [[1, 0], [0, 1]]},
+        },
+        "f": {"from": "A", "to": "B", "components": {"0": [["2/3", -1]], "1": [["2/3", "-1/3"]]}},
+        "f2": {"from": "A", "to": "B", "components": {"0": [["-37/30", "-34/15"]], "1": [["2/3", "-1/3"]]}},
+        "g": {"from": "A", "to": "B", "components": {"0": [["3/2", 1]]}},
+    },
+    "homotopies": {},
+    "roofs": {
+        "rf": {"denom": "idA", "numer": "f"},
+        "rf2": {"denom": "idA", "numer": "f2"},
+        "rg": {"denom": "idA", "numer": "g"},
+        "rb": {"denom": "f", "numer": "idA"},
+    },
+}
+
+_Q_WITNESS = ("--witness", "A", "idA", "f", "idA", "idA")
+
+# (argv after the file, exit code, sha256 of stdout)
+_Q_GOLDEN = [
+    (("validate",), 0, "43adc3e2d125f1f202515efe492860e82e9e0e94570d9195936b1f8d84d9fa2f"),
+    (("cohomology", "A"), 0, "89dc20a5b11c3d95b86e17fddbfd695f0fd94c42e2651da2accef8e977de94f0"),
+    (("cohomology", "B"), 0, "ac28ee2372efcf3e19fb221e7280049567e809e75959b54b451eb871de208f14"),
+    (("cohomology", "C"), 0, "71e24fac984bcdafd5de474f6822987b115e8874c97963e69cdee7777bc43d68"),
+    (("shift", "A", "1"), 0, "b4a7e91134fcaab33a1935293a1ddc1c58c4d32d46cdaefe215c5759289be765"),
+    (("shift", "C", "-1"), 0, "34b151ed3e274f8018d913e9429824da0ae8fd1e2c48f8cf896b79dc3ecbf4e2"),
+    (("cone", "f"), 0, "1787815475b1ac7f7c6f94771573d8472a21e4a62ef070c7b80c2d5e2de2d105"),
+    (("cone", "g"), 0, "dcc5ec5395208ea7e7222fcbce7cdd191e710dcd7ff9030ab97c0df2acc67fbc"),
+    (("cone", "idC"), 0, "fce066efd437700179a582b1f815d3a74e20d714377dc45cbfa86c95bf96265f"),
+    (("les", "f"), 0, "679b56640af06cbd4f44fd1fd435a08a125ba31d39ae727c94e606b23f5c0c32"),
+    (("les", "g"), 0, "b8fe59717bf82691b0a5db3657043ac2391c6fa8a5fd23b4ef2701ad5659ff69"),
+    (("les", "idC"), 0, "b1c4ca1c23d23b60bf4e7cdfea044707ede7248e48bf15a9aca6097b80071db1"),
+    (("homotopic", "f", "f2"), 0, "c39f8584550fb90846a76858ea9dcc1a153d7273f15a16c84cdfa5faa7a094e6"),
+    (("homotopic", "f", "g"), 1, "88d124e1e5e37f2f3214730bc3c71012e9caa3a7f65110ed6ea509f875e1d8a1"),
+    (("qis", "f"), 0, "5f4a4272b418a21f29fa519fd6b0085d71a9ef3f0a8c5ddaa32cef5543b600fb"),
+    (("qis", "g"), 1, "7950d46f75b9c2f178d2f21cbcc310a8719d8545348f0839feacd2205140ff8f"),
+    (("flip", "g", "f"), 0, "03849952117f5ec6df2d85b9402a0659978bc7f2cb520e554012fb8e4917e23e"),
+    (("compose", "rf", "rb"), 0, "34543d88afe02549124346861b09fcfe3d69d066ecedb9c256acb7b6f959e16e"),
+    (("compose", "rb", "rf"), 0, "ea7bfa071766fbbe2bcec7d24e6f85b6f4c37fb58db29d135a51fe9c6fba9bb7"),
+    (("roof-equiv", "rf", "rf2", *_Q_WITNESS), 0, "01953de0d1b6959df8bbb93168ba50a1328e0ed66901c62f39f78e848ff67a21"),
+    (("roof-equiv", "rf", "rg", *_Q_WITNESS), 1, "f817a1e2895199286fb167a051c50c6f5702b90c01ff745115ad25e465bf043e"),
+    (("lift", "f"), 0, "cbbf8b18dd0d979b0a6ae0d5bf3be746fa0059b9651599f95fdb0ce2014f72ea"),
+    (("lift", "g"), 0, "5e7d1f8a64cb975c7b9a72fb331797264d2c9dd8a445b1f10d4fc868e72a4265"),
+]
+
+
+def test_q_golden_covers_every_command():
+    assert {argv[0] for argv, _, _ in _Q_GOLDEN} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, code, digest", _Q_GOLDEN, ids=[" ".join(argv) for argv, _, _ in _Q_GOLDEN])
+def test_q_session_stdout_is_pinned(capsys, tmp_path, argv, code, digest):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(SESSION_Q))
+    got_code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
 
 
 # hostile input: exit 2 with the error class on stderr, never a traceback

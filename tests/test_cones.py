@@ -19,6 +19,7 @@ from homcat import (
     cone_triangle,
     identity_chain_map,
     is_acyclic,
+    is_quasi_iso,
     mapping_cone,
     negate_chain_map,
     rotate_triangle,
@@ -287,3 +288,36 @@ def test_cone_acyclic_iff_qis():
         b = random_complex(rng, F5)
         f = random_chain_map(rng, a, b)
         assert is_quasi_iso(f) == is_acyclic(mapping_cone(f).cone)
+
+
+# each leg of a triangle is validated once, with the error of the first bad one
+
+
+def _triangle_with_bad_legs(field, bad):
+    """The cone triangle of the identity on the contractible complex,
+    with g^1 doubled (so g fails to commute at degree 0) and h^{-1}
+    tripled (so h fails at degree -1) for each leg named in ``bad``."""
+    a = contractible(field)
+    t = cone_triangle(identity_chain_map(a))
+    g, h = t.g, t.h
+    if "g" in bad:
+        g = ChainMap.create(g.source, g.target, {**{i: g.component(i) for i in g.window},
+                                                 1: Matrix.from_rows(field, [[2]])})
+    if "h" in bad:
+        h = ChainMap.create(h.source, h.target, {**{i: h.component(i) for i in h.window},
+                                                 -1: Matrix.from_rows(field, [[3]])})
+    return Triangle(t.f, g, h)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+@pytest.mark.parametrize("bad, degree", [("g", 0), ("h", -1), ("gh", 0)])
+def test_non_commuting_leg_raises_the_first_failure(field, bad, degree):
+    t = _triangle_with_bad_legs(field, bad)
+    message = f"square fails to commute at degree {degree}"
+    with pytest.raises(InvalidChainMapError) as caught:
+        check_les_exact(t)
+    assert str(caught.value) == message
+    leg = t.g if "g" in bad else t.h
+    with pytest.raises(InvalidChainMapError) as caught:
+        is_quasi_iso(leg)
+    assert str(caught.value) == message

@@ -1,7 +1,8 @@
 """Exact dense matrix layer: frozen examples plus randomized identities.
 
 Oracles used here, all independent of the implementation under test:
-naive triple-loop multiplication, cofactor-expansion determinant,
+naive triple-loop multiplication, scalar Gauss-Jordan, cofactor-expansion
+determinant,
 exhaustive vector enumeration over F2, and entry-wise comparison of the
 entries tuples for equality and hashing.
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcat import (
@@ -58,8 +59,9 @@ def naive_matmul(a, b):
 
 
 def naive_rref(m):
-    """Gauss-Jordan one scalar at a time over F_p, leftmost pivot column and
-    first nonzero row; the reduction oracle.  Returns (matrix, pivots)."""
+    """Gauss-Jordan one scalar at a time over F_p or Q (on Fractions),
+    leftmost pivot column and first nonzero row; the reduction oracle.
+    Returns (matrix, pivots)."""
     f = m.field
     p = f.p
     rows = [list(m.row(i)) for i in range(m.rows)]
@@ -70,7 +72,7 @@ def naive_rref(m):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, p)
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
         rows[r] = [f.coerce(x * inv) for x in rows[r]]
         for i in range(m.rows):
             fac = rows[i][c]
@@ -487,6 +489,72 @@ def test_packed_kernels_match_per_scalar_references(p, data):
     # a, b and a product of rank at most k, in tall, wide and empty shapes
     for x in (a, b, product):
         _assert_rref_matches(x)
+
+
+# the fraction-free Q kernels against scalar Fraction Gauss-Jordan
+
+# Mersenne primes: two distinct ones have an lcm past the 128-bit bound
+_BIG_DENOMINATORS = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+
+
+def _q_cells():
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3).map(Fraction),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_BIG_DENOMINATORS)),
+    )
+
+
+@st.composite
+def _q_rref_inputs(draw):
+    """A Q matrix of 0..7 rows and columns: plain, held as a product A B
+    of inner dimension below both sides (so of deficient rank, and as its
+    form only), or with two entries whose denominators force D = 0;
+    negated half the time, so the first pivot is often negative."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["plain", "product", "no common denominator"]))
+    if kind == "product":
+        k = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        m = mat_mul(draw(_matrices(Q, rows, k, _q_cells())), draw(_matrices(Q, k, cols, _q_cells())))
+    else:
+        flat = draw(st.lists(_q_cells(), min_size=rows * cols, max_size=rows * cols))
+        if kind == "no common denominator" and len(flat) >= 2:
+            flat[0] += Fraction(1, 2**61 - 1)
+            flat[-1] += Fraction(-1, 2**89 - 1)
+        m = Matrix(rows, cols, tuple(flat), Q)
+    return mat_neg(m) if draw(st.booleans()) else m
+
+
+def naive_kernel(red, pivots):
+    """The canonical null space basis read off a reduced form, per scalar."""
+    free = [j for j in range(red.cols) if j not in pivots]
+    cols = [[Fraction(int(i == j)) for i in range(red.cols)] for j in free]
+    for col, j in zip(cols, free):
+        for r, pc in enumerate(pivots):
+            col[pc] = -red[r, j]
+    return Matrix(red.cols, len(free), tuple(col[i] for i in range(red.cols) for col in cols), Q)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(m=_q_rref_inputs())
+# a D = 0 input whose first pivot is negative
+@example(m=Matrix.from_rows(Q, [[Fraction(-1, 2**61 - 1), 2, 1], [Fraction(1, 2**89 - 1), 0, Fraction(1, 3)]]))
+def test_rational_rref_is_bit_identical_to_scalar_gauss_jordan(m):
+    want, want_pivots = naive_rref(m)
+    red, pivots = rref(m)
+    assert pivots == want_pivots
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    # the form first, before any entry of red is read
+    assert red.int_form() == want.int_form()
+    assert red.entries == want.entries
+    assert all(type(x) is Fraction for x in red.entries)
+    kernel, want_kernel = kernel_basis(m), naive_kernel(want, want_pivots)
+    assert (kernel.rows, kernel.cols) == (want_kernel.rows, want_kernel.cols)
+    assert kernel.int_form() == want_kernel.int_form()
+    assert kernel.entries == want_kernel.entries
+    assert all(type(x) is Fraction for x in kernel.entries)
+    assert rank(m) == len(pivots)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
