@@ -198,11 +198,10 @@ def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
     }
     k_name = _fresh("K", objects)
     objects[k_name] = flip.k_complex
-    maps = {}
-    gamma2_name = _fresh("gamma2", maps)
-    maps[gamma2_name] = MapEntry(k_name, alpha.source, flip.gamma2)
-    gamma1_name = _fresh("gamma1", maps)
-    maps[gamma1_name] = MapEntry(k_name, beta.source, flip.gamma1)
+    maps = {
+        "gamma2": MapEntry(k_name, alpha.source, flip.gamma2),
+        "gamma1": MapEntry(k_name, beta.source, flip.gamma1),
+    }
     fragment = SessionFile(
         session.field,
         objects=objects,
@@ -225,16 +224,15 @@ def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
     }
     apex_name = _fresh("apex", objects)
     objects[apex_name] = composite.apex
-    maps = {}
-    denom_name = _fresh("denom", maps)
-    maps[denom_name] = MapEntry(apex_name, left_name, composite.denom)
-    numer_name = _fresh("numer", maps)
-    maps[numer_name] = MapEntry(apex_name, right_name, composite.numer)
+    maps = {
+        "denom": MapEntry(apex_name, left_name, composite.denom),
+        "numer": MapEntry(apex_name, right_name, composite.numer),
+    }
     fragment = SessionFile(
         session.field,
         objects=objects,
         maps=maps,
-        roofs={"composite": RoofEntry(denom_name, numer_name, composite)},
+        roofs={"composite": RoofEntry("denom", "numer", composite)},
     )
     return CommandResult(emit_session(fragment), 0)
 
@@ -265,16 +263,15 @@ def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
     entry = _get_map(session, args[0])
     roof = lift_map_to_roof(entry.value)
     objects = {entry.source: entry.value.source, entry.target: entry.value.target}
-    maps = {}
-    denom_name = _fresh("denom", maps)
-    maps[denom_name] = MapEntry(entry.source, entry.source, roof.denom)
-    numer_name = _fresh("numer", maps)
-    maps[numer_name] = MapEntry(entry.source, entry.target, roof.numer)
+    maps = {
+        "denom": MapEntry(entry.source, entry.source, roof.denom),
+        "numer": MapEntry(entry.source, entry.target, roof.numer),
+    }
     fragment = SessionFile(
         session.field,
         objects=objects,
         maps=maps,
-        roofs={"lifted": RoofEntry(denom_name, numer_name, roof)},
+        roofs={"lifted": RoofEntry("denom", "numer", roof)},
     )
     return CommandResult(emit_session(fragment), 0)
 

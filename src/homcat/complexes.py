@@ -229,10 +229,12 @@ class CohomologySpace:
     rep_columns: tuple[int, ...]
     projection: Matrix
     free_rows: tuple[int, ...]
+    # the rep_columns of cocycle_basis, taken once by cohomology
+    _representatives: Matrix = dataclass_field(compare=False, repr=False)
 
     def representatives(self) -> Matrix:
         """Representative cocycles as honest vectors of the underlying degree."""
-        return self.cocycle_basis.take_columns(list(self.rep_columns))
+        return self._representatives
 
 
 def _require_valid(c: CochainComplex) -> None:
@@ -254,7 +256,8 @@ def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
     coboundaries = rref(transpose(c.d(i - 1).take_rows(free)))
     reps = coboundaries.free_columns()
     projection = transpose(coboundaries.kernel_basis())
-    return CohomologySpace(i, len(reps), red.kernel_basis(), reps, projection, free)
+    basis = red.kernel_basis()
+    return CohomologySpace(i, len(reps), basis, reps, projection, free, basis.take_columns(reps))
 
 
 def _embed(m: Matrix, rows: Sequence[int], cols: Sequence[int], shape: tuple[int, int]) -> Matrix:

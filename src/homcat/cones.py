@@ -74,33 +74,17 @@ def mapping_cone(f: ChainMap) -> MappingCone:
     lo = min(a.lo - 1, b.lo)
     hi = max(a.hi - 1, b.hi)
     dims = {i: a.dim(i + 1) + b.dim(i) for i in range(lo, hi + 1)}
-    diff = {}
-    for i in range(lo, hi):
-        diff[i] = block(
-            fld,
-            [
-                [mat_neg(a.d(i + 1)), Matrix.zeros(fld, a.dim(i + 2), b.dim(i))],
-                [f.component(i + 1), b.d(i)],
-            ],
-        )
+    diff = {
+        i: block(fld, [[mat_neg(a.d(i + 1)), None], [f.component(i + 1), b.d(i)]])
+        for i in range(lo, hi)
+    }
     cone = CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
-    incl_comps = {
-        i: block(
-            fld,
-            [
-                [Matrix.zeros(fld, a.dim(i + 1), b.dim(i))],
-                [Matrix.identity(fld, b.dim(i))],
-            ],
-        )
-        for i in range(lo, hi + 1)
-    }
-    proj_comps = {
-        i: block(
-            fld,
-            [[Matrix.identity(fld, a.dim(i + 1)), Matrix.zeros(fld, a.dim(i + 1), b.dim(i))]],
-        )
-        for i in range(lo, hi + 1)
-    }
+    # the structure maps are bands of the identity of each degree
+    incl_comps, proj_comps = {}, {}
+    for i in range(lo, hi + 1):
+        ident = Matrix.identity(fld, dims[i])
+        incl_comps[i] = ident.take_columns(range(a.dim(i + 1), dims[i]))
+        proj_comps[i] = ident.take_rows(range(a.dim(i + 1)))
     incl = ChainMap.create(b, cone, incl_comps)
     proj = ChainMap.create(cone, shift(a, 1), proj_comps)
     return MappingCone(cone, incl, proj)
@@ -181,15 +165,8 @@ def complete_triangle_morphism(
     mc1 = mapping_cone(f1)
     mc2 = mapping_cone(f2)
     fld = f1.source.field
-    a1, b1 = f1.source, f1.target
-    a2, b2 = f2.source, f2.target
-    comps = {}
-    for i in range(mc1.cone.lo, mc1.cone.hi + 1):
-        comps[i] = block(
-            fld,
-            [
-                [k1.component(i + 1), Matrix.zeros(fld, a2.dim(i + 1), b1.dim(i))],
-                [s.component(i + 1), k2.component(i)],
-            ],
-        )
+    comps = {
+        i: block(fld, [[k1.component(i + 1), None], [s.component(i + 1), k2.component(i)]])
+        for i in range(mc1.cone.lo, mc1.cone.hi + 1)
+    }
     return ChainMap.create(mc1.cone, mc2.cone, comps)

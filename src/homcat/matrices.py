@@ -354,40 +354,61 @@ def transpose(a: Matrix) -> Matrix:
     return _relaid(a, c, a.rows, [i * c + j for j in range(c) for i in range(a.rows)])
 
 
-def block(field: FieldSpec, grid: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Assemble a matrix from a rectangular grid of conforming blocks."""
+def block(field: FieldSpec, grid: Sequence[Sequence[Optional[Matrix]]]) -> Matrix:
+    """Assemble a matrix from a rectangular grid of conforming blocks.
+
+    A block given as None is zero: its height is that of the other blocks
+    in its grid row, its width that of the other blocks in its grid
+    column, and no matrix is built for it.  A grid row or column made
+    only of None has no size and raises ShapeMismatchError.
+    """
     if not grid:
         return Matrix.zeros(field, 0, 0)
-    heights = [row[0].rows for row in grid]
-    widths = [m.cols for m in grid[0]]
-    for row in grid:
+    heights: list = [None] * len(grid)
+    widths: list = [None] * len(grid[0])
+    for r, row in enumerate(grid):
         if len(row) != len(widths):
             raise ShapeMismatchError("ragged block grid")
-        for m, w in zip(row, widths):
+        for c, m in enumerate(row):
+            if m is None:
+                continue
             if m.field != field:
                 raise FieldMismatchError(f"{m.field} block in {field} assembly")
-            if m.cols != w:
+            if heights[r] is None:
+                heights[r] = m.rows
+            if widths[c] is None:
+                widths[c] = m.cols
+            if m.cols != widths[c]:
                 raise ShapeMismatchError("block widths disagree within a column")
-        if any(m.rows != row[0].rows for m in row):
-            raise ShapeMismatchError("block heights disagree within a row")
+            if m.rows != heights[r]:
+                raise ShapeMismatchError("block heights disagree within a row")
+    if None in heights or None in widths:
+        raise ShapeMismatchError("a block row or column is all None, so its size is unknown")
     shape = (sum(heights), sum(widths))
+    zero = 0
     if field.kind == "rational":
-        forms = [[m.int_form() for m in row] for row in grid]
-        if all(den for row in forms for den, _ in row):
-            den = lcm(*(d for row in forms for d, _ in row))
-            values = [[ints if d == den else [x * (den // d) for x in ints] for d, ints in row]
+        forms = [[None if m is None else m.int_form() for m in row] for row in grid]
+        dens = [form[0] for row in forms for form in row if form is not None]
+        if all(dens):
+            den = lcm(*dens)
+            values = [[None if form is None else form[1] if form[0] == den
+                       else [x * (den // form[0]) for x in form[1]] for form in row]
                       for row in forms]
-            return _rational(*shape, den, _assemble(values, heights, widths), field)
-    return Matrix(*shape, _assemble([[m.entries for m in row] for row in grid], heights, widths), field)
+            return _rational(*shape, den, _assemble(values, heights, widths, 0), field)
+        zero = Fraction(0)
+    values = [[None if m is None else m.entries for m in row] for row in grid]
+    return Matrix(*shape, _assemble(values, heights, widths, zero), field)
 
 
-def _assemble(values: list, heights: list[int], widths: list[int]) -> tuple:
-    """The flat row-major values of a grid of blocks given by their flat values."""
+def _assemble(values: list, heights: list[int], widths: list[int], zero) -> tuple:
+    """The flat row-major values of a grid of blocks given by their flat
+    values, with ``zero`` throughout each block given as None."""
+    zeros = [(zero,) * w for w in widths]
     flat: list = []
     for row, h in zip(values, heights):
         for i in range(h):
-            for xs, w in zip(row, widths):
-                flat.extend(xs[i * w : (i + 1) * w])
+            for xs, w, z in zip(row, widths, zeros):
+                flat.extend(z if xs is None else xs[i * w : (i + 1) * w])
     return tuple(flat)
 
 
@@ -398,15 +419,7 @@ def hstack(*mats: Matrix) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_field(a, b)
-    f = a.field
-    return block(
-        f,
-        [
-            [a, Matrix.zeros(f, a.rows, b.cols)],
-            [Matrix.zeros(f, b.rows, a.cols), b],
-        ],
-    )
+    return block(a.field, [[a, None], [None, b]])
 
 
 # -- multiplication ---------------------------------------------------------

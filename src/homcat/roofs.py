@@ -16,7 +16,8 @@ differential
 which is the shift by -1 of the cone of L -> MC(beta).  The two
 projections gamma2 = (id, 0, 0): K -> L and gamma1 = (0, -id, 0):
 K -> M close the square up to the explicit homotopy h^i = (0, 0, -id),
-and gamma2 inherits quasi-isomorphy from beta.
+and gamma2 inherits quasi-isomorphy from beta.  All three are row bands
+of the identity of K^i, the last two negated.
 
 Every Roof and Cospan a caller builds is checked.  What the library
 builds from checked values is not checked again: the middle cospan of a
@@ -135,33 +136,26 @@ def flip_cospan(c: Cospan) -> FlipResult:
     lo = min(big_l.lo, big_m.lo, kbar.lo + 1)
     hi = max(big_l.hi, big_m.hi, kbar.hi + 1)
     dims = {i: big_l.dim(i) + big_m.dim(i) + kbar.dim(i - 1) for i in range(lo, hi + 1)}
-    diff = {}
-    for i in range(lo, hi):
-        z = Matrix.zeros
-        diff[i] = block(
+    diff = {
+        i: block(
             fld,
             [
-                [big_l.d(i), z(fld, big_l.dim(i + 1), big_m.dim(i)), z(fld, big_l.dim(i + 1), kbar.dim(i - 1))],
-                [z(fld, big_m.dim(i + 1), big_l.dim(i)), big_m.d(i), z(fld, big_m.dim(i + 1), kbar.dim(i - 1))],
+                [big_l.d(i), None, None],
+                [None, big_m.d(i), None],
                 [mat_neg(alpha.component(i)), mat_neg(beta.component(i)), mat_neg(kbar.d(i - 1))],
             ],
         )
+        for i in range(lo, hi)
+    }
     k_complex = CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
 
-    gamma2_comps = {}
-    gamma1_comps = {}
-    witness_comps = {}
+    gamma2_comps, gamma1_comps, witness_comps = {}, {}, {}
     for i in range(lo, hi + 1):
-        nl, nm, nk = big_l.dim(i), big_m.dim(i), kbar.dim(i - 1)
-        gamma2_comps[i] = block(
-            fld, [[Matrix.identity(fld, nl), Matrix.zeros(fld, nl, nm), Matrix.zeros(fld, nl, nk)]]
-        )
-        gamma1_comps[i] = block(
-            fld, [[Matrix.zeros(fld, nm, nl), mat_neg(Matrix.identity(fld, nm)), Matrix.zeros(fld, nm, nk)]]
-        )
-        witness_comps[i] = block(
-            fld, [[Matrix.zeros(fld, nk, nl), Matrix.zeros(fld, nk, nm), mat_neg(Matrix.identity(fld, nk))]]
-        )
+        ident = Matrix.identity(fld, dims[i])
+        nl, nlm = big_l.dim(i), big_l.dim(i) + big_m.dim(i)
+        gamma2_comps[i] = ident.take_rows(range(nl))
+        gamma1_comps[i] = mat_neg(ident.take_rows(range(nl, nlm)))
+        witness_comps[i] = mat_neg(ident.take_rows(range(nlm, dims[i])))
     gamma2 = ChainMap.create(k_complex, big_l, gamma2_comps)
     gamma1 = ChainMap.create(k_complex, big_m, gamma1_comps)
     witness = Homotopy.create(k_complex, kbar, witness_comps)

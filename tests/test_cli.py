@@ -476,6 +476,67 @@ def test_q_session_stdout_is_pinned(capsys, tmp_path, argv, code, digest):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
 
 
+# GF(2^31 - 1): the structure maps of cones, flips and roofs pinned byte for byte
+
+_P = 2**31 - 1
+
+# A has a rank-1 d^0 and C a d^{-1}, d^0 pair with entries near p, so
+# every object has nonzero cohomology; f is a quasi-isomorphism A -> B,
+# g is not
+SESSION_P = {
+    "field": {"kind": "prime", "p": _P},
+    "objects": {
+        "A": {"dims": {"0": 2, "1": 2}, "diff": {"0": [[1, 2], [_P - 3, _P - 6]]}},
+        "B": {"dims": {"0": 1, "1": 1}},
+        "C": {
+            "dims": {"-1": 1, "0": 3, "1": 2},
+            "diff": {"-1": [[1], [_P - 1], [0]], "0": [[7, 7, 5], [_P - 14, _P - 14, _P - 10]]},
+        },
+    },
+    "maps": {
+        "idA": {"from": "A", "to": "A", "components": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [0, 1]]}},
+        "idC": {
+            "from": "C",
+            "to": "C",
+            "components": {"-1": [[1]], "0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "1": [[1, 0], [0, 1]]},
+        },
+        "f": {"from": "A", "to": "B", "components": {"0": [[_P - 5, 0]], "1": [[3, 1]]}},
+        "g": {"from": "A", "to": "B", "components": {"0": [[_P - 2, _P - 4]]}},
+    },
+    "homotopies": {},
+    "roofs": {
+        "rf": {"denom": "idA", "numer": "f"},
+        "rg": {"denom": "idA", "numer": "g"},
+        "rb": {"denom": "f", "numer": "idA"},
+    },
+}
+
+# (argv after the file, exit code, sha256 of stdout)
+_P_GOLDEN = [
+    (("cone", "f"), 0, "00b444c8f8414715db569e3c78072ee0eca4d177564ab31fa92704f43e362aa5"),
+    (("cone", "g"), 0, "f5a92f280de487922f22e375640f3e314ccc71284a8a2808a9e5c6d8d9577111"),
+    (("cone", "idC"), 0, "7f2da388b6eedc2a542b6337f6304f68398457469dab7527288f4d4f35865e7d"),
+    (("les", "f"), 0, "679b56640af06cbd4f44fd1fd435a08a125ba31d39ae727c94e606b23f5c0c32"),
+    (("les", "g"), 0, "b8fe59717bf82691b0a5db3657043ac2391c6fa8a5fd23b4ef2701ad5659ff69"),
+    (("les", "idC"), 0, "b1c4ca1c23d23b60bf4e7cdfea044707ede7248e48bf15a9aca6097b80071db1"),
+    (("flip", "g", "f"), 0, "fc72dc4ae9d87684bf9c2a64e35a0602922f24f2a932e9a8f7129e34848a2a16"),
+    (("flip", "idA", "idA"), 0, "b24dc2e922f2f426f782d1f249079833ba039b1d9ae5f5a29058c92956e925bb"),
+    (("compose", "rf", "rb"), 0, "6231fdfd16cad181258ce4bf548b288da996d8feae430dd6e8884480f7fb25c5"),
+    (("compose", "rb", "rf"), 0, "362c7d617e3bd9f8e2a0b3293aa0f2e62bc85025df301e1e6897a0881e66befd"),
+    (("compose", "rg", "rb"), 0, "7fd1ba29773e144967dd6d310f32a7f57dd662a1bf3ad6615818b91eb21a023e"),
+    (("lift", "f"), 0, "61a555c9b8368de337541bdfafc9a9e34766802a2a871becbb52880b03f49238"),
+    (("lift", "g"), 0, "947519e2884b698486f6c2cca78da128340d5efb6daca7310200722fd130d970"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", _P_GOLDEN, ids=[" ".join(argv) for argv, _, _ in _P_GOLDEN])
+def test_p_session_stdout_is_pinned(capsys, tmp_path, argv, code, digest):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(SESSION_P))
+    got_code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
 # hostile input: exit 2 with the error class on stderr, never a traceback
 
 

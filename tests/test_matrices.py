@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from homcat import (
     FieldSpec,
     Matrix,
+    ShapeMismatchError,
     block,
     block_diag,
     kernel_basis,
@@ -361,6 +362,17 @@ def test_equality_and_hash_agree_with_entrywise_equality(field, data):
         assert {a: 1}[b] == 1
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[[None, None], ["m", "m"]], [["m", None], ["m", None]], [[None]]],
+    ids=["row", "column", "lone"],
+)
+def test_block_row_or_column_of_only_none_has_no_size(grid):
+    m = Matrix.identity(F5, 2)
+    with pytest.raises(ShapeMismatchError, match="all None"):
+        block(F5, [[None if x is None else m for x in row] for row in grid])
+
+
 # every matrix operation against its per-scalar reference
 
 
@@ -405,9 +417,14 @@ def _draw_op(field, op, data):
                                                  for i in range(n) for j in range(n)]
     if op == "block":
         hs, ws = data.draw(st.tuples(dim, dim)), data.draw(st.tuples(dim, dim))
-        grid = [[data.draw(_operands(field, h, w)) for w in ws] for h in hs]
+        # the blocks off one diagonal may be None, so every grid row and
+        # column keeps a real block
+        real = data.draw(st.sampled_from([{(0, 0), (1, 1)}, {(0, 1), (1, 0)}]))
+        grid = [[data.draw(_operands(field, h, w)) if (r, c) in real or data.draw(st.booleans()) else None
+                 for c, w in enumerate(ws)] for r, h in enumerate(hs)]
         got = block(field, grid)
-        want = [x for row in grid for i in range(row[0].rows) for m in row for x in _cells(m)[i]]
+        want = [x for row, h in zip(grid, hs) for i in range(h) for m, w in zip(row, ws)
+                for x in ([field.zero()] * w if m is None else _cells(m)[i])]
         return got, sum(hs), sum(ws), want
     if op == "mat_mul":
         m, k, n = data.draw(st.tuples(dim, dim, dim))
@@ -626,6 +643,12 @@ def test_rational_results_cross_the_denominator_bound_both_ways():
     wide = block(Q, [[low, high]])
     _assert_matches(wide, 2, 4, [*low.row(0), *high.row(0), *low.row(1), *high.row(1)])
     assert wide.int_form()[0] == 0
+    # None blocks beside a D = 0 block and under a 0-row block
+    zero = Fraction(0)
+    tall = block(Q, [[Matrix.zeros(Q, 0, 2), None], [both, None], [None, low]])
+    _assert_matches(tall, 4, 4, [*both.row(0), zero, zero, *both.row(1), zero, zero,
+                                 zero, zero, *low.row(0), zero, zero, *low.row(1)])
+    assert tall.int_form()[0] == 0
     _assert_matches(wide.take_columns([0, 1]), 2, 2, low.entries)
     assert wide.take_columns([0, 1]).int_form()[0] == m61
 
