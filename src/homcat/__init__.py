@@ -5,7 +5,7 @@ field F_p or the rationals.  The main layers:
 
   fields      the coefficient field and its canonical scalars (FieldSpec)
   matrices    dense exact matrices, rref, kernels, solving
-  complexes   bounded cochain complexes, shift, cohomology, contractions
+  complexes   bounded cochain complexes, shift, cohomology with its contraction
   chainmaps   chain maps, homotopies, quasi-isomorphism tests
   cones       mapping cones, triangles, long exact sequences
   roofs       roofs (spans), cospan flips, roof composition
@@ -34,9 +34,7 @@ from .complexes import (
     CochainComplex,
     CohomologySpace,
     ComplexValidation,
-    Contraction,
     cohomology,
-    contraction,
     direct_sum_complex,
     is_acyclic,
     shift,
@@ -68,7 +66,6 @@ from .matrices import (
     RrefResult,
     block,
     block_diag,
-    hstack,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -99,7 +96,6 @@ __all__ = [
     "CochainComplex",
     "CohomologySpace",
     "ComplexValidation",
-    "Contraction",
     "Cospan",
     "FieldMismatchError",
     "FieldSpec",
@@ -130,12 +126,10 @@ __all__ = [
     "compose_chain_maps",
     "compose_roofs",
     "cone_triangle",
-    "contraction",
     "direct_sum_complex",
     "emit_session",
     "find_homotopy",
     "flip_cospan",
-    "hstack",
     "identity_chain_map",
     "induced_cohomology_map",
     "is_acyclic",

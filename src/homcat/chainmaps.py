@@ -18,8 +18,9 @@ computes f + D(k), and check_homotopy compares it with g.
 
 Over a field, g - f is null-homotopic exactly when it is a chain map
 that vanishes on cohomology.  find_homotopy decides that and builds a
-witness in closed form from the contraction data of both complexes (see
-complexes.contraction), degree by degree, with no linear system to solve.
+witness in closed form from the contraction data (incl, proj, htpy) that
+the cohomology of both complexes carries (see complexes.CohomologySpace),
+degree by degree, with no linear system to solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import ClassVar, Mapping, Optional
 
-from .complexes import CochainComplex, cohomology, contraction, shift
+from .complexes import CACHE_SIZE, CochainComplex, cohomology, shift
 from .errors import FieldMismatchError, InvalidChainMapError, ShapeMismatchError
 from .matrices import Matrix, mat_add, mat_mul, mat_neg, mat_sub, rank
 
@@ -165,7 +166,7 @@ class ChainMapValidation:
     right: Optional[Matrix] = None  # f^{i+1} composed with d_source
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def validate_chain_map(f: ChainMap) -> ChainMapValidation:
     """Check d_B f^i = f^{i+1} d_A at every degree of the hull window."""
     s, t = f.source, f.target
@@ -217,10 +218,10 @@ def check_homotopy(f: ChainMap, g: ChainMap, k: Homotopy) -> bool:
 def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     """A homotopy witness between f and g, or None if there is none.
 
-    With phi = g - f and (incl, proj, htpy) the contraction data of the
-    source A and target B, the answer is None when phi is not a chain
-    map or when it is nonzero on cohomology (H^i(phi) = proj_B phi^i
-    incl_A); otherwise the witness is
+    With phi = g - f and (incl, proj, htpy) the contraction data that
+    ``cohomology`` gives for the source A and target B, the answer is
+    None when phi is not a chain map or when it is nonzero on cohomology
+    (H^i(phi) = proj_B phi^i incl_A); otherwise the witness is
 
         k^i = htpy_B^i phi^i + incl_B^{i-1} proj_B^{i-1} phi^{i-1} htpy_A^i.
 
@@ -231,9 +232,9 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     _require_parallel(f, g)
     s, t = f.source, f.target
     degrees = range(min(s.lo, t.lo), max(s.hi, t.hi) + 2)
-    # fetching the contraction data first validates both complexes
-    ca = {i: contraction(s, i) for i in degrees}
-    cb = {i: contraction(t, i) for i in degrees}
+    # fetching the cohomology first validates both complexes
+    ca = {i: cohomology(s, i) for i in degrees}
+    cb = {i: cohomology(t, i) for i in degrees}
     phi = ChainMap.create(s, t, {i: mat_sub(g.component(i), f.component(i)) for i in f.window})
     # D(k) = d k + k d is always a chain map, and it is zero on cohomology
     if not validate_chain_map(phi).ok:
@@ -243,7 +244,7 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     comps = {}
     for i in Homotopy._window(s, t):
         # proj_B^{i-1} phi^{i-1} htpy_A^i: A^i -> H^{i-1}(B)
-        to_cohomology = mat_mul(mat_mul(cb[i - 1].proj, phi.component(i - 1)), ca[i].htpy)
+        to_cohomology = mat_mul(cb[i - 1].classes(phi.component(i - 1)), ca[i].htpy)
         comps[i] = mat_add(
             mat_mul(cb[i].htpy, phi.component(i)),
             mat_mul(cb[i - 1].incl, to_cohomology),
@@ -285,10 +286,8 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
 
 def _induced_map(f: ChainMap, i: int) -> Matrix:
     """induced_cohomology_map for an f already known to be a chain map."""
-    hs = cohomology(f.source, i)
-    ht = cohomology(f.target, i)
-    image = mat_mul(f.component(i), hs.representatives())
-    return mat_mul(ht.projection, image.take_rows(ht.free_rows))
+    incl = cohomology(f.source, i).incl
+    return cohomology(f.target, i).classes(mat_mul(f.component(i), incl))
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

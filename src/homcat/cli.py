@@ -109,7 +109,7 @@ def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
         entry = {"dim": space.dim}
         if space.dim > 0:
             entry["representatives"] = matrix_payload(
-                space.representatives(), f"object {quote(name)} representatives at degree {i}"
+                space.incl, f"object {quote(name)} representatives at degree {i}"
             )
         table[str(i)] = entry
     return CommandResult(

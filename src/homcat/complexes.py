@@ -19,23 +19,25 @@ Everything downstream (induced maps, exactness checks, homotopy
 witnesses) leans on this choice being deterministic.
 
 Over a field every complex deformation-retracts onto its cohomology.
-``contraction`` gives that retraction degree by degree: the inclusion
-of the representatives, a projection onto the canonical basis, and a
-degree -1 homotopy between their composite and the identity.
+The cohomology space of each degree carries that retraction: the
+inclusion ``incl`` of the representatives, a projection ``proj`` onto
+the canonical basis, and a degree -1 homotopy ``htpy`` between their
+composite and the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import FieldMismatchError, InvalidComplexError, ShapeMismatchError
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
+    _canonical,
+    block,
     block_diag,
-    hstack,
     mat_mul,
     mat_neg,
     rref,
@@ -46,12 +48,10 @@ __all__ = [
     "CochainComplex",
     "CohomologySpace",
     "ComplexValidation",
-    "Contraction",
     "validate_complex",
     "shift",
     "direct_sum_complex",
     "cohomology",
-    "contraction",
     "is_acyclic",
 ]
 
@@ -177,7 +177,14 @@ class ComplexValidation:
     product: Optional[Matrix] = None
 
 
-@lru_cache(maxsize=None)
+# the bound of each per-value cache (validate_complex, cohomology,
+# validate_chain_map): several times the working set of a small pool of
+# repeated inputs, so that pool keeps every hit, while a stream of fresh
+# inputs cannot grow memory without end
+CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def validate_complex(c: CochainComplex) -> ComplexValidation:
     """Check d(d(x)) = 0 in every degree; shapes were enforced at creation."""
     for i in range(c.lo, c.hi - 1):
@@ -212,15 +219,17 @@ def direct_sum_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """Canonical presentation of H^degree.
+    """Canonical presentation of H^degree, with the contraction data there.
 
     ``cocycle_basis`` has one column per kernel basis vector of d^i.
     ``rep_columns`` lists the cocycle columns chosen as quotient
-    representatives.  ``projection`` maps cocycle coordinates onto
-    quotient coordinates; it kills the coboundary subspace and is the
-    identity on the representative columns.  ``free_rows`` lists the
-    non-pivot columns of d^i; the cocycle basis restricted to these rows
-    is the identity, so they read off a cocycle's coordinates.
+    representatives, and ``incl`` (dim C^i x dim H^i) holds those columns:
+    it sends the canonical basis of H^i to the representative cocycles.
+    ``projection`` maps cocycle coordinates onto quotient coordinates; it
+    kills the coboundary subspace and is the identity on the
+    representative columns.  ``free_rows`` lists the non-pivot columns of
+    d^i; the cocycle basis restricted to these rows is the identity, so
+    they read off a cocycle's coordinates.
     """
 
     degree: int
@@ -229,12 +238,57 @@ class CohomologySpace:
     rep_columns: tuple[int, ...]
     projection: Matrix
     free_rows: tuple[int, ...]
-    # the rep_columns of cocycle_basis, taken once by cohomology
-    _representatives: Matrix = dataclass_field(compare=False, repr=False)
+    # the rep_columns of cocycle_basis, so derived and not compared
+    incl: Matrix = dataclass_field(compare=False, repr=False)
+    complex: CochainComplex = dataclass_field(compare=False, repr=False)
 
-    def representatives(self) -> Matrix:
-        """Representative cocycles as honest vectors of the underlying degree."""
-        return self._representatives
+    def classes(self, m: Matrix) -> Matrix:
+        """The classes of the cocycle columns of m in the canonical basis of H^i."""
+        return mat_mul(self.projection, m.take_rows(self.free_rows))
+
+    @cached_property
+    def proj(self) -> Matrix:
+        """The projection C^i -> H^i (dim H^i x dim C^i): ``classes`` of the identity.
+
+        It is ``projection`` on the free rows of d^i and zero on its pivot
+        rows; it kills coboundaries and proj incl = id.
+        """
+        return self.classes(Matrix.identity(self.complex.field, self.complex.dim(self.degree)))
+
+    @cached_property
+    def htpy(self) -> Matrix:
+        """The homotopy (dim C^{i-1} x dim C^i), a degree -1 map with
+
+            id - incl^i proj^i = d^{i-1} htpy^i + htpy^{i+1} d^i,
+
+        where htpy^{i+1} belongs to the cohomology at degree i+1.  It is
+        read off the basis T = [B | reps | E] of C^i.  B is d^{i-1} at its
+        pivot columns, a basis of the coboundaries, and E the unit vectors
+        at the pivot columns of d^i.  Row j of T^{-1}, for j below rank
+        d^{i-1}, becomes the row of htpy at the j-th pivot column of
+        d^{i-1}; all other rows are zero.  On the free rows of d^i, E
+        vanishes and reps are unit vectors, so those rows of T^{-1} are
+        the inverse of the square block G of d^{i-1} at the free rows that
+        are not representative coordinates and at its pivot columns, and
+        vanish elsewhere: only G is inverted.
+        """
+        c, i = self.complex, self.degree
+        below = cohomology(c, i - 1)
+        reps = set(self.rep_columns)
+        rows = [r for j, r in enumerate(self.free_rows) if j not in reps]
+        below_free = set(below.free_rows)
+        cols = [j for j in range(c.dim(i - 1)) if j not in below_free]
+        g = c.d(i - 1).take_rows(rows).take_columns(cols)
+        n = len(cols)
+        g_inv = rref(block(c.field, [[g, Matrix.identity(c.field, n)]])).matrix.take_columns(range(n, 2 * n))
+        # G^{-1} sits at rows ``cols`` and columns ``rows`` of htpy
+        width = c.dim(i)
+        flat = [c.field.zero()] * (c.dim(i - 1) * width)
+        inv = g_inv.entries
+        for j, r in enumerate(cols):
+            for t, col in enumerate(rows):
+                flat[r * width + col] = inv[j * n + t]
+        return _canonical(c.dim(i - 1), width, tuple(flat), c.field)
 
 
 def _require_valid(c: CochainComplex) -> None:
@@ -245,7 +299,7 @@ def _require_valid(c: CochainComplex) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
     """H^i with the canonical basis data described in the module docstring."""
     _require_valid(c)
@@ -257,71 +311,7 @@ def cohomology(c: CochainComplex, i: int) -> CohomologySpace:
     reps = coboundaries.free_columns()
     projection = transpose(coboundaries.kernel_basis())
     basis = red.kernel_basis()
-    return CohomologySpace(i, len(reps), basis, reps, projection, free, basis.take_columns(reps))
-
-
-def _embed(m: Matrix, rows: Sequence[int], cols: Sequence[int], shape: tuple[int, int]) -> Matrix:
-    """The matrix of ``shape`` holding m[j, s] at (rows[j], cols[s]), zero elsewhere."""
-    nrows, ncols = shape
-    flat = [m.field.zero()] * (nrows * ncols)
-    for j, r in enumerate(rows):
-        for s, col in enumerate(cols):
-            flat[r * ncols + col] = m[j, s]
-    return Matrix(nrows, ncols, tuple(flat), m.field)
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Contraction data of a complex onto its cohomology at one degree.
-
-    ``incl`` (dim C^i x dim H^i) sends the canonical basis of H^i to the
-    representative cocycles.  ``proj`` (dim H^i x dim C^i) is the
-    cohomology projection read on the free rows of d^i and zero on its
-    pivot rows; it kills coboundaries and proj incl = id.  ``htpy``
-    (dim C^{i-1} x dim C^i) is the degree -1 map with
-
-        id - incl^i proj^i = d^{i-1} htpy^i + htpy^{i+1} d^i,
-
-    where htpy^{i+1} belongs to the contraction at degree i+1.
-    """
-
-    complex: CochainComplex
-    degree: int
-    incl: Matrix
-    proj: Matrix
-
-    @cached_property
-    def htpy(self) -> Matrix:
-        """The homotopy, read off the basis T = [B | reps | E] of C^i.
-
-        B is d^{i-1} at its pivot columns, a basis of the coboundaries,
-        and E the unit vectors at the pivot columns of d^i.  Row j of
-        T^{-1}, for j below rank d^{i-1}, becomes the row of htpy at the
-        j-th pivot column of d^{i-1}; all other rows are zero.  On the
-        free rows of d^i, E vanishes and reps are unit vectors, so those
-        rows of T^{-1} are the inverse of the square block G of d^{i-1}
-        at the free rows that are not representative coordinates and at
-        its pivot columns, and vanish elsewhere: only G is inverted.
-        """
-        c, i = self.complex, self.degree
-        space = cohomology(c, i)
-        below = cohomology(c, i - 1)
-        reps = set(space.rep_columns)
-        rows = [r for j, r in enumerate(space.free_rows) if j not in reps]
-        below_free = set(below.free_rows)
-        cols = [j for j in range(c.dim(i - 1)) if j not in below_free]
-        g = c.d(i - 1).take_rows(rows).take_columns(cols)
-        n = len(cols)
-        g_inv = rref(hstack(g, Matrix.identity(c.field, n))).matrix.take_columns(range(n, 2 * n))
-        return _embed(g_inv, cols, rows, (c.dim(i - 1), c.dim(i)))
-
-
-@lru_cache(maxsize=None)
-def contraction(c: CochainComplex, i: int) -> Contraction:
-    """The contraction data of ``c`` at degree i; raises on d(d(x)) != 0."""
-    space = cohomology(c, i)
-    proj = _embed(space.projection, range(space.dim), space.free_rows, (space.dim, c.dim(i)))
-    return Contraction(c, i, space.representatives(), proj)
+    return CohomologySpace(i, len(reps), basis, reps, projection, free, basis.take_columns(reps), c)
 
 
 def is_acyclic(c: CochainComplex) -> bool:

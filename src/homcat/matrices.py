@@ -52,7 +52,7 @@ from operator import add, mul, sub
 from sys import byteorder
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import FieldMismatchError, ShapeMismatchError
+from .errors import FieldMismatchError, ShapeMismatchError, quote
 from .fields import FieldSpec
 
 __all__ = [
@@ -78,7 +78,12 @@ _DENOMINATOR_BITS = 128
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
-    """An exact rows x cols matrix over ``field``, entries flat and row-major."""
+    """An exact rows x cols matrix over ``field``, entries flat and row-major.
+
+    Over F_p every entry must be an int in [0, p): the packed kernels
+    rely on it.  Library results are canonical by construction and are
+    built through _canonical, which skips that check.
+    """
 
     rows: int
     cols: int
@@ -98,10 +103,15 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        p = self.field.p
+        if p is not None:
+            for x in self.entries:
+                if type(x) is not int or not 0 <= x < p:
+                    raise ValueError(f"entry {quote(x)} is not an integer in [0, {p})")
 
     def __getattr__(self, name: str):
         # called only when a slot is unset: a Q matrix built from its form
-        # (see _rational) leaves ``entries`` unset until it is first read
+        # (see _canonical) leaves ``entries`` unset until it is first read
         if name != "entries":
             raise AttributeError(f"'Matrix' object has no attribute {name!r}")
         den, ints = self._form
@@ -127,7 +137,7 @@ class Matrix:
             if len(r) != ncols:
                 raise ShapeMismatchError("ragged rows")
             flat.extend(field.coerce(x) for x in r)
-        return cls(nrows, ncols, tuple(flat), field)
+        return _canonical(nrows, ncols, tuple(flat), field)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -227,21 +237,32 @@ def _rational(rows: int, cols: int, den: int, ints: Sequence[int], field: FieldS
             ints = [x // g for x in ints]
         if den.bit_length() > _DENOMINATOR_BITS:
             return Matrix(rows, cols, tuple(Fraction(x, den) for x in ints), field)
+    return _canonical(rows, cols, None, field, (den, tuple(ints)))
+
+
+def _canonical(rows: int, cols: int, entries: Optional[tuple], field: FieldSpec, form=None) -> Matrix:
+    """The matrix of ``entries``, canonical scalars of ``field`` and rows * cols
+    many, built without the checks of Matrix.__post_init__.  A Q matrix may
+    give its ``form`` instead; its entries are then built on first read."""
     m = object.__new__(Matrix)
     put = object.__setattr__
     put(m, "rows", rows)
     put(m, "cols", cols)
+    if entries is not None:
+        put(m, "entries", entries)
     put(m, "field", field)
-    put(m, "_form", (den, tuple(ints)))
+    put(m, "_form", form)
     put(m, "_hash", None)
     return m
 
 
 def _integral(field: FieldSpec, rows: int, cols: int, flat: tuple) -> Matrix:
     """The matrix of the canonical integers ``flat``, lazily over Q."""
-    if field.kind == "rational" and rows >= 0 and cols >= 0:
+    if rows < 0 or cols < 0:
+        raise ShapeMismatchError(f"negative shape {rows}x{cols}")
+    if field.kind == "rational":
         return _rational(rows, cols, 1, flat, field)
-    return Matrix(rows, cols, flat, field)  # refuses a negative shape
+    return _canonical(rows, cols, flat, field)
 
 
 def _relaid(a: Matrix, rows: int, cols: int, index: list[int]) -> Matrix:
@@ -251,7 +272,7 @@ def _relaid(a: Matrix, rows: int, cols: int, index: list[int]) -> Matrix:
         den, ints = a.int_form()
         if den:
             return _rational(rows, cols, den, tuple(map(ints.__getitem__, index)), a.field)
-    return Matrix(rows, cols, tuple(map(a.entries.__getitem__, index)), a.field)
+    return _canonical(rows, cols, tuple(map(a.entries.__getitem__, index)), a.field)
 
 
 class RrefResult(NamedTuple):
@@ -284,7 +305,7 @@ class RrefResult(NamedTuple):
             for r, pc in enumerate(pivots):
                 flat[pc * n + t] = -values[r * cols + j]
         if p is not None:
-            return Matrix(cols, n, tuple([x % p for x in flat]), f)
+            return _canonical(cols, n, tuple([x % p for x in flat]), f)
         if den:
             return _rational(cols, n, den, flat, f)
         return Matrix(cols, n, tuple(map(Fraction, flat)), f)
@@ -305,7 +326,7 @@ def _entrywise(op: Callable, a: Matrix, b: Matrix, what: str) -> Matrix:
     f = a.field
     p = f.p
     if p is not None:
-        return Matrix(a.rows, a.cols, tuple(x % p for x in map(op, a.entries, b.entries)), f)
+        return _canonical(a.rows, a.cols, tuple(x % p for x in map(op, a.entries, b.entries)), f)
     da, ai = a.int_form()
     db, bi = b.int_form()
     if not (da and db):
@@ -330,7 +351,7 @@ def mat_neg(a: Matrix) -> Matrix:
     f = a.field
     p = f.p
     if p is not None:
-        return Matrix(a.rows, a.cols, tuple(-x % p for x in a.entries), f)
+        return _canonical(a.rows, a.cols, tuple(-x % p for x in a.entries), f)
     den, ints = a.int_form()
     if den:
         return _rational(a.rows, a.cols, den, tuple(-x for x in ints), f)
@@ -342,7 +363,7 @@ def mat_scale(c, a: Matrix) -> Matrix:
     p = f.p
     c = f.coerce(c)
     if p is not None:
-        return Matrix(a.rows, a.cols, tuple(c * x % p for x in a.entries), f)
+        return _canonical(a.rows, a.cols, tuple(c * x % p for x in a.entries), f)
     den, ints = a.int_form()
     if den:
         return _rational(a.rows, a.cols, den * c.denominator, tuple(c.numerator * x for x in ints), f)
@@ -397,7 +418,7 @@ def block(field: FieldSpec, grid: Sequence[Sequence[Optional[Matrix]]]) -> Matri
             return _rational(*shape, den, _assemble(values, heights, widths, 0), field)
         zero = Fraction(0)
     values = [[None if m is None else m.entries for m in row] for row in grid]
-    return Matrix(*shape, _assemble(values, heights, widths, zero), field)
+    return _canonical(*shape, _assemble(values, heights, widths, zero), field)
 
 
 def _assemble(values: list, heights: list[int], widths: list[int], zero) -> tuple:
@@ -410,12 +431,6 @@ def _assemble(values: list, heights: list[int], widths: list[int], zero) -> tupl
             for xs, w, z in zip(row, widths, zeros):
                 flat.extend(z if xs is None else xs[i * w : (i + 1) * w])
     return tuple(flat)
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeMismatchError("hstack needs at least one block")
-    return block(mats[0].field, [list(mats)])
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -477,7 +492,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         packed = _pack_rows(b.entries, n, m, nb)
         av = a.entries
         sums = [sum(map(mul, av[i * n : (i + 1) * n], packed)) for i in range(a.rows)]
-        return Matrix(a.rows, m, tuple([x % p for x in _unpack_rows(sums, m, nb)]), f)
+        return _canonical(a.rows, m, tuple([x % p for x in _unpack_rows(sums, m, nb)]), f)
     da, ai = a.int_form()
     db, bi = b.int_form()
     if da and db:
@@ -527,7 +542,7 @@ def _rref_prime(m: Matrix) -> RrefResult:
         pivots.append(c)
         r += 1
     flat = tuple([x % p for x in _unpack_rows(rows, ncols, nb)])
-    return RrefResult(Matrix(nrows, ncols, flat, m.field), tuple(pivots))
+    return RrefResult(_canonical(nrows, ncols, flat, m.field), tuple(pivots))
 
 
 def _eliminate_rational(m: Matrix, back: bool) -> tuple[list[list[int]], list[int], int]:

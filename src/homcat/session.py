@@ -49,7 +49,7 @@ from .errors import (
     quote,
 )
 from .fields import FieldSpec
-from .matrices import Matrix
+from .matrices import Matrix, _canonical
 from .roofs import Roof
 
 __all__ = [
@@ -202,8 +202,8 @@ def _parse_matrix(fld: FieldSpec, value, where: str) -> Matrix:
         elif len(row) != width:
             raise SessionSyntaxError(f"{where}: row {r} has {len(row)} entries, expected {width}")
         flat.extend([_parse_scalar(fld, x, f"{where} row {r}") for x in row])
-    # the scalars are canonical already, so they need no second coercion
-    return Matrix(len(value), width, tuple(flat), fld)
+    # the scalars are canonical already, so they need no second check
+    return _canonical(len(value), width, tuple(flat), fld)
 
 
 def _table(doc: dict, key: str) -> dict:

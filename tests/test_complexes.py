@@ -1,4 +1,4 @@
-"""Complexes: validation, shift, direct sum, cohomology, contraction data.
+"""Complexes: validation, shift, direct sum, cohomology and its contraction data.
 
 The cohomology oracle for small F2 complexes enumerates every vector of
 the relevant spaces and counts cocycles and coboundaries literally.
@@ -15,16 +15,17 @@ from homcat import (
     Matrix,
     ShapeMismatchError,
     cohomology,
-    contraction,
     direct_sum_complex,
     is_acyclic,
     mat_add,
     mat_mul,
     mat_sub,
     shift,
+    validate_chain_map,
     validate_complex,
 )
-from randgen import F2, F5, Q, random_complex
+from homcat.complexes import CACHE_SIZE
+from randgen import F2, F5, Q, random_complex, random_matrix
 
 
 def f2_cohomology_dim(c, i):
@@ -199,7 +200,7 @@ def test_cohomology_representatives_are_cocycles_mod_nothing_twice():
         c = random_complex(rng, F5)
         for i in range(c.lo, c.hi + 1):
             space = cohomology(c, i)
-            reps = space.representatives()
+            reps = space.incl
             assert reps.cols == space.dim
             assert mat_mul(c.d(i), reps).is_zero()
 
@@ -272,19 +273,22 @@ def test_cocycle_basis_is_identity_on_free_rows():
                 assert space.cocycle_basis.take_rows(space.free_rows) == Matrix.identity(field, n)
 
 
-# contraction
+# the contraction data of cohomology
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=str)
 def test_contraction_retracts_onto_cohomology(field):
     rng = random.Random(43)
+    # the test matrices for classes() come from their own stream, so the
+    # complexes drawn stay the same
+    mats = random.Random(47)
     zero_dims = 0
     for _ in range(40):
         c = random_complex(rng, field, max_dim=4)
         # one degree past each end of the window as well
         for i in range(c.lo - 1, c.hi + 2):
-            k = contraction(c, i)
-            h = cohomology(c, i).dim
+            k = cohomology(c, i)
+            h = k.dim
             n = c.dim(i)
             zero_dims += n == 0
             assert (k.incl.rows, k.incl.cols) == (n, h)
@@ -294,9 +298,11 @@ def test_contraction_retracts_onto_cohomology(field):
             retract = mat_sub(Matrix.identity(field, n), mat_mul(k.incl, k.proj))
             boundary = mat_add(
                 mat_mul(c.d(i - 1), k.htpy),
-                mat_mul(contraction(c, i + 1).htpy, c.d(i)),
+                mat_mul(cohomology(c, i + 1).htpy, c.d(i)),
             )
             assert retract == boundary
+            m = random_matrix(mats, field, n, 3)
+            assert k.classes(m) == mat_mul(k.proj, m)
     # the two off-window degrees of each complex give 80; the rest are
     # zero-dimensional degrees inside a window
     assert zero_dims > 80
@@ -307,7 +313,18 @@ def test_contraction_requires_valid_complex():
     d1 = Matrix.from_rows(F2, [[1, 1]])
     c = CochainComplex.create(F2, dims={0: 2, 1: 2, 2: 1}, diff={0: d0, 1: d1})
     with pytest.raises(InvalidComplexError):
-        contraction(c, 2)
+        cohomology(c, 2).htpy
+
+
+def test_caches_stay_at_their_bound_on_fresh_complexes():
+    for k in range(CACHE_SIZE + 50):
+        c = CochainComplex.create(F2, dims={k: 1})
+        assert cohomology(c, k).dim == 1
+    for cache in (cohomology, validate_complex):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize == CACHE_SIZE
+    assert validate_chain_map.cache_info().maxsize == CACHE_SIZE
 
 
 def test_cohomology_requires_valid_complex():

@@ -293,6 +293,30 @@ def test_entries_are_canonical_prime_representatives():
     assert rows_of(m) == [[2, 4], [0, 4]]
 
 
+def test_prime_matrix_refuses_non_canonical_entries():
+    # the packed kernels assume entries in [0, p): with 255 over F_2 the
+    # product overflowed its slots
+    with pytest.raises(ValueError, match=r"entry 255 is not an integer in \[0, 2\)"):
+        mat_mul(Matrix(1, 2, (255, 255), F2), Matrix(2, 2, (255,) * 4, F2))
+    for bad in (-1, 5, True, 2.0, Fraction(1), "1"):
+        with pytest.raises(ValueError):
+            Matrix(1, 2, (0, bad), F5)
+    # the entry is quoted clipped, as every message quotes a value
+    with pytest.raises(ValueError, match=r"entry 1{57}\.\.\. is not"):
+        Matrix(1, 1, (int("1" * 100),), F5)
+
+
+def test_prime_matrix_refuses_entries_that_would_carry():
+    # with 17 over F_3 left unreduced, a carry into the neighbouring slot
+    # gave (0, 2) where (2, 0) is right
+    f3 = FieldSpec.prime(3)
+    with pytest.raises(ValueError):
+        Matrix(1, 2, (17, 17), f3)
+    a = Matrix.from_rows(f3, [[17, 17]])
+    b = Matrix.from_rows(f3, [[17, 0], [17, 0]])
+    assert mat_mul(a, b).entries == (2, 0)
+
+
 def test_rational_entries_reduced():
     m = Matrix.from_rows(Q, [[Fraction(2, 4)]])
     assert m[0, 0] == Fraction(1, 2)
