@@ -4,7 +4,7 @@ Everything here works over an exactly represented field, either a prime
 field F_p or the rationals.  The main layers:
 
   fields      the coefficient field and its canonical scalars (FieldSpec)
-  matrices    dense exact matrices, rref, kernels, solving
+  matrices    dense exact matrices, products, rref, rank, kernels
   complexes   bounded cochain complexes, shift, cohomology with its contraction
   chainmaps   chain maps, homotopies, quasi-isomorphism tests
   cones       mapping cones, triangles, long exact sequences

@@ -6,7 +6,9 @@ the degree 0 case and Homotopy the degree -1 case of one frozen type.
 It stores one component per degree where both ends can be nonzero, and
 every accessor synthesizes the forced zero matrix elsewhere, so values
 are canonical and compare by data equality; a map never equals a
-homotopy, even with the same data.
+homotopy, even with the same data.  As for complexes, ``create`` returns
+the live map or homotopy with equal data if there is one, from a table
+that holds them weakly.
 
 In the Hom complex Hom(A, B) the differential of a homotopy k is
 D(k) = d_B k + k d_A, that is
@@ -25,6 +27,7 @@ degree by degree, with no linear system to solve.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import ClassVar, Mapping, Optional
@@ -91,7 +94,8 @@ class _GradedMap:
         target: CochainComplex,
         components: Mapping[int, Matrix] | None = None,
     ):
-        """Zero-fill the omitted window degrees and check every component's field and shape."""
+        """Zero-fill the omitted window degrees and check every component's
+        field and shape; returns the live value with equal data if there is one."""
         components = dict(components or {})
         r, noun = cls.degree, cls._noun
         mats = []
@@ -110,7 +114,13 @@ class _GradedMap:
         for i, m in components.items():
             if (m.rows, m.cols) != (target.dim(i + r), source.dim(i)):
                 raise ShapeMismatchError(f"{noun} at degree {i} does not fit")
-        return cls(source, target, tuple(mats))
+        # the class is part of the key, so a map never becomes a homotopy
+        mats = tuple(mats)
+        key = (cls, source, target, mats)
+        g = _INTERNED.get(key)
+        if g is None:
+            g = _INTERNED[key] = cls(source, target, mats)
+        return g
 
     def __hash__(self) -> int:
         h = self._hash
@@ -127,6 +137,11 @@ class _GradedMap:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
+
+
+# every live map and homotopy built by create, by its data, held weakly
+# as complexes.CochainComplex.create holds complexes
+_INTERNED: "weakref.WeakValueDictionary[tuple, _GradedMap]" = weakref.WeakValueDictionary()
 
 
 class ChainMap(_GradedMap):

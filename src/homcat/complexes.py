@@ -9,6 +9,12 @@ dimensions and differentials all agree exactly.
 Shift convention used throughout the package: shifting by n moves degree
 i+n to degree i and scales every differential by (-1)^n.
 
+Equal complexes are one object: ``CochainComplex.create`` returns the
+complex already built with equal data while any reference to it lives.
+Its table holds the complexes weakly, so it shrinks as they die, and a
+cache keyed by a complex then finds it by identity.  ``shift`` is cached
+too, so a complex and its shift are each built once.
+
 Cohomology at a degree comes with a canonical basis.  The cocycle basis
 is the canonical kernel basis of d^i; it is the identity on the free
 (non-pivot) rows of d^i, so a cocycle's coordinates are its entries in
@@ -27,6 +33,7 @@ composite and the identity.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
@@ -104,6 +111,7 @@ class CochainComplex:
         The window defaults to the hull of all declared degrees (a diff
         at degree i declares both i and i+1).  Omitted dims are zero,
         omitted differentials are zero matrices of the forced shape.
+        Returns the live complex with equal data if there is one.
         """
         diff = dict(diff or {})
         degrees = set(dims)
@@ -143,11 +151,15 @@ class CochainComplex:
             cols = dim_tuple[i - lo] if lo <= i <= hi else 0
             if (d.rows, d.cols) != (rows, cols) or d.rows * d.cols != 0:
                 raise ShapeMismatchError(f"differential at degree {i} does not fit the window")
-        return cls(field, lo, hi, dim_tuple, tuple(mats))
+        key = (field, lo, hi, dim_tuple, tuple(mats))
+        c = _INTERNED.get(key)
+        if c is None:
+            c = _INTERNED[key] = cls(*key)
+        return c
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "CochainComplex":
-        return cls(field, 0, 0, (0,), ())
+        return cls.create(field, {}, lo=0, hi=0)
 
     def dim(self, i: int) -> int:
         if self.lo <= i <= self.hi:
@@ -168,6 +180,11 @@ class CochainComplex:
         return f"CochainComplex([{spans}] over {self.field})"
 
 
+# every live complex built by create, by its data; the key holds the
+# data, not the complex, so the table never keeps a complex alive
+_INTERNED: "weakref.WeakValueDictionary[tuple, CochainComplex]" = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class ComplexValidation:
     """Outcome of validate_complex; on failure carries the first bad degree."""
@@ -177,10 +194,10 @@ class ComplexValidation:
     product: Optional[Matrix] = None
 
 
-# the bound of each per-value cache (validate_complex, cohomology,
-# validate_chain_map): several times the working set of a small pool of
-# repeated inputs, so that pool keeps every hit, while a stream of fresh
-# inputs cannot grow memory without end
+# the bound of each of the four per-value caches (validate_complex,
+# cohomology, shift, validate_chain_map): several times the working set
+# of a small pool of repeated inputs, so that pool keeps every hit, while
+# a stream of fresh inputs cannot grow memory without end
 CACHE_SIZE = 4096
 
 
@@ -194,10 +211,12 @@ def validate_complex(c: CochainComplex) -> ComplexValidation:
     return ComplexValidation(True)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def shift(c: CochainComplex, n: int) -> CochainComplex:
     """Shift by n: degree i of the result is degree i+n of ``c``.
 
-    Differentials pick up the sign (-1)^n.
+    Differentials pick up the sign (-1)^n.  Cached, so the cone and the
+    flip read their negated differentials off one shared shift.
     """
     dims = {i - n: c.dim(i) for i in c.degrees()}
     diff = {}

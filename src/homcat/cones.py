@@ -7,9 +7,11 @@ A-block first.  Its differential in block form is
     [  f^{i+1}    d_B^i   ]
 
 so the structural maps are the inclusion of B (bottom block) and the
-projection onto the shifted A (top block).  A triangle records three
-composable maps whose last target is the shift of the first source;
-rotation moves everything one step left and negates the shifted map.
+projection onto the shifted A (top block).  The top-left block is the
+differential of A[1], read off the cached shift, which is also the
+object the projection lands on.  A triangle records three composable
+maps whose last target is the shift of the first source; rotation moves
+everything one step left and negates the shifted map.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .chainmaps import (
 )
 from .complexes import CochainComplex, shift
 from .errors import InvalidChainMapError, ShapeMismatchError
-from .matrices import Matrix, block, mat_mul, mat_neg, rank
+from .matrices import Matrix, block, mat_mul, rank
 
 __all__ = [
     "MappingCone",
@@ -69,24 +71,22 @@ class Triangle:
 def mapping_cone(f: ChainMap) -> MappingCone:
     """The cone of a valid chain map plus its two structural maps."""
     _require_valid_map(f, "cone input")
-    a, b = f.source, f.target
-    fld = a.field
-    lo = min(a.lo - 1, b.lo)
-    hi = max(a.hi - 1, b.hi)
-    dims = {i: a.dim(i + 1) + b.dim(i) for i in range(lo, hi + 1)}
-    diff = {
-        i: block(fld, [[mat_neg(a.d(i + 1)), None], [f.component(i + 1), b.d(i)]])
-        for i in range(lo, hi)
-    }
+    # -d_A^{i+1} is the differential of the cached shift A[1] at degree i
+    a1, b = shift(f.source, 1), f.target
+    fld = b.field
+    lo = min(a1.lo, b.lo)
+    hi = max(a1.hi, b.hi)
+    dims = {i: a1.dim(i) + b.dim(i) for i in range(lo, hi + 1)}
+    diff = {i: block(fld, [[a1.d(i), None], [f.component(i + 1), b.d(i)]]) for i in range(lo, hi)}
     cone = CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
     # the structure maps are bands of the identity of each degree
     incl_comps, proj_comps = {}, {}
     for i in range(lo, hi + 1):
         ident = Matrix.identity(fld, dims[i])
-        incl_comps[i] = ident.take_columns(range(a.dim(i + 1), dims[i]))
-        proj_comps[i] = ident.take_rows(range(a.dim(i + 1)))
+        incl_comps[i] = ident.take_columns(range(a1.dim(i), dims[i]))
+        proj_comps[i] = ident.take_rows(range(a1.dim(i)))
     incl = ChainMap.create(b, cone, incl_comps)
-    proj = ChainMap.create(cone, shift(a, 1), proj_comps)
+    proj = ChainMap.create(cone, a1, proj_comps)
     return MappingCone(cone, incl, proj)
 
 
@@ -119,12 +119,14 @@ def check_les_exact(t: Triangle) -> bool:
     for leg in legs:
         _require_valid_map(leg, "square")
     maps = [_induced_map(leg, i) for i in range(lo, hi + 1) for leg in legs]
-    for incoming, outgoing in zip(maps, maps[1:]):
+    # each map is incoming at one node and outgoing at the next
+    ranks = [rank(m) for m in maps]
+    for incoming, outgoing, r_in, r_out in zip(maps, maps[1:], ranks, ranks[1:]):
         if outgoing.cols != incoming.rows:
             raise RuntimeError("triangle endpoints guarantee matching nodes")
         if not mat_mul(outgoing, incoming).is_zero():
             return False
-        if rank(incoming) + rank(outgoing) != outgoing.cols:
+        if r_in + r_out != outgoing.cols:
             return False
     return True
 

@@ -81,8 +81,10 @@ class Matrix:
     """An exact rows x cols matrix over ``field``, entries flat and row-major.
 
     Over F_p every entry must be an int in [0, p): the packed kernels
-    rely on it.  Library results are canonical by construction and are
-    built through _canonical, which skips that check.
+    rely on it.  Over Q every entry must be a Fraction: the integer form
+    reads its numerator and denominator.  Library results are canonical
+    by construction and are built through _canonical, which skips these
+    checks.
     """
 
     rows: int
@@ -108,6 +110,10 @@ class Matrix:
             for x in self.entries:
                 if type(x) is not int or not 0 <= x < p:
                     raise ValueError(f"entry {quote(x)} is not an integer in [0, {p})")
+        else:
+            for x in self.entries:
+                if type(x) is not Fraction:
+                    raise ValueError(f"entry {quote(x)} is not a Fraction")
 
     def __getattr__(self, name: str):
         # called only when a slot is unset: a Q matrix built from its form
@@ -236,7 +242,7 @@ def _rational(rows: int, cols: int, den: int, ints: Sequence[int], field: FieldS
             den //= g
             ints = [x // g for x in ints]
         if den.bit_length() > _DENOMINATOR_BITS:
-            return Matrix(rows, cols, tuple(Fraction(x, den) for x in ints), field)
+            return _canonical(rows, cols, tuple(Fraction(x, den) for x in ints), field)
     return _canonical(rows, cols, None, field, (den, tuple(ints)))
 
 
@@ -308,7 +314,7 @@ class RrefResult(NamedTuple):
             return _canonical(cols, n, tuple([x % p for x in flat]), f)
         if den:
             return _rational(cols, n, den, flat, f)
-        return Matrix(cols, n, tuple(map(Fraction, flat)), f)
+        return _canonical(cols, n, tuple(map(Fraction, flat)), f)
 
 
 def _require_same_field(a: Matrix, b: Matrix) -> None:
@@ -330,7 +336,7 @@ def _entrywise(op: Callable, a: Matrix, b: Matrix, what: str) -> Matrix:
     da, ai = a.int_form()
     db, bi = b.int_form()
     if not (da and db):
-        return Matrix(a.rows, a.cols, tuple(map(op, a.entries, b.entries)), f)
+        return _canonical(a.rows, a.cols, tuple(map(op, a.entries, b.entries)), f)
     den = lcm(da, db)
     if den != da:
         ai = [x * (den // da) for x in ai]
@@ -355,7 +361,7 @@ def mat_neg(a: Matrix) -> Matrix:
     den, ints = a.int_form()
     if den:
         return _rational(a.rows, a.cols, den, tuple(-x for x in ints), f)
-    return Matrix(a.rows, a.cols, tuple(-x for x in a.entries), f)
+    return _canonical(a.rows, a.cols, tuple(-x for x in a.entries), f)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
@@ -367,7 +373,7 @@ def mat_scale(c, a: Matrix) -> Matrix:
     den, ints = a.int_form()
     if den:
         return _rational(a.rows, a.cols, den * c.denominator, tuple(c.numerator * x for x in ints), f)
-    return Matrix(a.rows, a.cols, tuple(c * x for x in a.entries), f)
+    return _canonical(a.rows, a.cols, tuple(c * x for x in a.entries), f)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -503,7 +509,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, row_lcms = _over_own_lcm([a.row(i) for i in range(a.rows)])
     cols, col_lcms = _over_own_lcm([b.entries[j::m] for j in range(m)])
     dens = [r * c for r in row_lcms for c in col_lcms]
-    return Matrix(a.rows, m, tuple(map(Fraction, _dot(rows, cols), dens)), f)
+    return _canonical(a.rows, m, tuple(map(Fraction, _dot(rows, cols), dens)), f)
 
 
 # -- reduction and solvers ---------------------------------------------------

@@ -43,7 +43,7 @@ from .chainmaps import (
     identity_chain_map,
     is_quasi_iso,
 )
-from .complexes import CochainComplex
+from .complexes import CochainComplex, shift
 from .errors import NotQuasiIsoError, ShapeMismatchError
 from .matrices import Matrix, block, mat_neg
 
@@ -132,17 +132,19 @@ def flip_cospan(c: Cospan) -> FlipResult:
     alpha, beta = c.alpha, c.beta
     big_l, big_m = alpha.source, beta.source
     kbar = alpha.target
+    # -d_Kbar^{i-1} is the differential of the cached shift Kbar[-1] at degree i
+    kbar_1 = shift(kbar, -1)
     fld = big_l.field
-    lo = min(big_l.lo, big_m.lo, kbar.lo + 1)
-    hi = max(big_l.hi, big_m.hi, kbar.hi + 1)
-    dims = {i: big_l.dim(i) + big_m.dim(i) + kbar.dim(i - 1) for i in range(lo, hi + 1)}
+    lo = min(big_l.lo, big_m.lo, kbar_1.lo)
+    hi = max(big_l.hi, big_m.hi, kbar_1.hi)
+    dims = {i: big_l.dim(i) + big_m.dim(i) + kbar_1.dim(i) for i in range(lo, hi + 1)}
     diff = {
         i: block(
             fld,
             [
                 [big_l.d(i), None, None],
                 [None, big_m.d(i), None],
-                [mat_neg(alpha.component(i)), mat_neg(beta.component(i)), mat_neg(kbar.d(i - 1))],
+                [mat_neg(alpha.component(i)), mat_neg(beta.component(i)), kbar_1.d(i)],
             ],
         )
         for i in range(lo, hi)

@@ -7,11 +7,13 @@ construction.  The induced-map examples are checked against hand
 computations recorded inline.
 """
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -37,6 +39,7 @@ from homcat import (
     zero_chain_map,
     zero_homotopy,
 )
+from homcat.chainmaps import _INTERNED
 from randgen import (
     F2,
     F5,
@@ -172,6 +175,43 @@ def test_map_and_homotopy_with_equal_data_differ():
     assert f != k and k != f
     assert f == ChainMap.create(a, b, comps)
     assert k == Homotopy.create(a, b, comps)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_create_returns_one_map_per_value(field):
+    # each call builds its own complexes and matrices, equal to the first's
+    entry = Fraction(-2, 3) if field == Q else 4
+
+    def build(cls):
+        a, b = point_and_two_step(field)
+        return cls.create(a, b, {0: Matrix.from_rows(field, [[entry]])})
+
+    f, k = build(ChainMap), build(Homotopy)
+    assert build(ChainMap) is f
+    assert build(Homotopy) is k
+    # the class is part of the value: the same data stays two objects
+    assert (f.source, f.target, f.components) == (k.source, k.target, k.components)
+    assert f is not k and f != k
+    assert type(f) is ChainMap and type(k) is Homotopy
+    a, b = point_and_two_step(field)
+    assert ChainMap.create(a, b, {0: Matrix.from_rows(field, [[1]])}) is not f
+
+
+def test_intern_table_holds_maps_weakly():
+    gc.collect()
+    before = len(_INTERNED)
+    f = identity_chain_map(CochainComplex.create(F5, dims={-10**6: 2}))
+    assert len(_INTERNED) == before + 1
+    del f
+    gc.collect()
+    assert len(_INTERNED) == before
+    # a stream of fresh maps and homotopies, none kept
+    for n in range(1_000):
+        c = CochainComplex.create(F5, dims={n: 1})
+        identity_chain_map(c)
+        zero_homotopy(c, c)
+    gc.collect()
+    assert len(_INTERNED) <= before
 
 
 @pytest.mark.parametrize("cls, noun", [(ChainMap, "component"), (Homotopy, "homotopy component")])

@@ -4,7 +4,9 @@ The cohomology oracle for small F2 complexes enumerates every vector of
 the relevant spaces and counts cocycles and coboundaries literally.
 """
 
+import gc
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -24,7 +26,7 @@ from homcat import (
     validate_chain_map,
     validate_complex,
 )
-from homcat.complexes import CACHE_SIZE
+from homcat.complexes import _INTERNED, CACHE_SIZE
 from randgen import F2, F5, Q, random_complex, random_matrix
 
 
@@ -325,6 +327,51 @@ def test_caches_stay_at_their_bound_on_fresh_complexes():
         assert info.maxsize == CACHE_SIZE
         assert info.currsize == CACHE_SIZE
     assert validate_chain_map.cache_info().maxsize == CACHE_SIZE
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_create_returns_one_object_per_value(field):
+    # each call builds its own equal matrices; the second gets the first complex
+    def build(entry):
+        d = Matrix.from_rows(field, [[entry, 0], [0, 1]])
+        return CochainComplex.create(field, dims={0: 2, 1: 2, 2: 1}, diff={0: d})
+
+    entry = Fraction(1, 2) if field == Q else 3
+    c = build(entry)
+    assert build(entry) is c
+    assert build(field.coerce(2)) is not c
+    # the zero differential create fills in is the same value as one given
+    zero = Matrix.zeros(field, 1, 2)
+    assert CochainComplex.create(field, dims={0: 2, 1: 2, 2: 1}, diff={0: c.d(0), 1: zero}) is c
+    assert CochainComplex.zero(field) is CochainComplex.create(field, {0: 0})
+
+
+def test_intern_table_holds_complexes_weakly():
+    gc.collect()
+    before = len(_INTERNED)
+    c = CochainComplex.create(F5, dims={-10**6: 3})
+    assert len(_INTERNED) == before + 1
+    del c
+    gc.collect()
+    assert len(_INTERNED) == before
+    # a stream of fresh complexes, none kept and cohomology never called
+    for k in range(10_000):
+        CochainComplex.create(F2, dims={k: 1, k + 1: 1}, diff={k: Matrix.identity(F2, 1)})
+    gc.collect()
+    assert len(_INTERNED) <= before
+
+
+def test_shift_is_cached_and_stays_at_its_bound():
+    c = CochainComplex.create(Q, dims={0: 1, 1: 1}, diff={0: Matrix.identity(Q, 1)})
+    assert shift(c, 1) is shift(c, 1)
+    assert shift(shift(c, 1), -1) is c
+    for k in range(CACHE_SIZE + 50):
+        shifted = shift(CochainComplex.create(F2, dims={k: 1}), 1)
+        assert shifted.lo == k - 1
+        assert shift.cache_info().currsize <= CACHE_SIZE
+    info = shift.cache_info()
+    assert info.maxsize == CACHE_SIZE
+    assert info.currsize == CACHE_SIZE
 
 
 def test_cohomology_requires_valid_complex():

@@ -11,6 +11,7 @@ from homcat import (
     InvalidChainMapError,
     Matrix,
     Triangle,
+    block,
     check_homotopy,
     check_les_exact,
     cohomology,
@@ -21,6 +22,7 @@ from homcat import (
     is_acyclic,
     is_quasi_iso,
     mapping_cone,
+    mat_neg,
     negate_chain_map,
     rotate_triangle,
     shift,
@@ -88,6 +90,37 @@ def test_cone_structural_maps_compose_to_shifted_f():
         mc = mapping_cone(f)
         through = compose_chain_maps(mc.incl, mc.proj)
         assert through == zero_chain_map(b, shift(a, 1))
+
+
+def readme_cone(f):
+    """MC(f)^i = A^{i+1} (+) B^i with differential [[-d_A^{i+1}, 0], [f^{i+1}, d_B^i]],
+    every block written out and the top-left one negated by mat_neg."""
+    a, b = f.source, f.target
+    fld = a.field
+    lo, hi = min(a.lo - 1, b.lo), max(a.hi - 1, b.hi)
+    dims = {i: a.dim(i + 1) + b.dim(i) for i in range(lo, hi + 1)}
+    diff = {
+        i: block(fld, [
+            [mat_neg(a.d(i + 1)), Matrix.zeros(fld, a.dim(i + 2), b.dim(i))],
+            [f.component(i + 1), b.d(i)],
+        ])
+        for i in range(lo, hi)
+    }
+    return CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_cone_matches_the_readme_block_form(field):
+    rng = random.Random(17)
+    for _ in range(25):
+        a = random_complex(rng, field)
+        b = random_complex(rng, field)
+        f = random_chain_map(rng, a, b)
+        mc = mapping_cone(f)
+        assert mc.cone == readme_cone(f)
+        # the projection lands on the cached shift, which the triangle meets again
+        assert mc.proj.target is shift(a, 1)
+        assert cone_triangle(f).h.target is shift(f.source, 1)
 
 
 def test_cone_rejects_invalid_map():

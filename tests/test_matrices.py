@@ -317,6 +317,22 @@ def test_prime_matrix_refuses_entries_that_would_carry():
     assert mat_mul(a, b).entries == (2, 0)
 
 
+def test_rational_matrix_refuses_a_bool_entry():
+    # True was kept as the entry and compared equal to the identity
+    with pytest.raises(ValueError, match=r"entry True is not a Fraction"):
+        Matrix(1, 1, (True,), Q)
+
+
+def test_rational_matrix_refuses_a_float_entry():
+    # 0.5 was kept, and the first hash raised AttributeError
+    with pytest.raises(ValueError, match=r"entry 0\.5 is not a Fraction"):
+        hash(Matrix(1, 1, (0.5,), Q))
+    for bad in (1, "1/2", None):
+        with pytest.raises(ValueError):
+            Matrix(1, 2, (Fraction(0), bad), Q)
+    assert Matrix(1, 1, (Fraction(1, 2),), Q) == Matrix.from_rows(Q, [[Fraction(1, 2)]])
+
+
 def test_rational_entries_reduced():
     m = Matrix.from_rows(Q, [[Fraction(2, 4)]])
     assert m[0, 0] == Fraction(1, 2)

@@ -31,6 +31,7 @@ from homcat import (
     is_quasi_iso,
     lift_map_to_roof,
     mapping_cone,
+    mat_neg,
     mat_sub,
     shift,
     validate_chain_map,
@@ -192,6 +193,33 @@ def test_flip_equals_shifted_cone_route():
             gamma = compose_chain_maps(cs.alpha, mc_beta.incl)
             other = shift(mapping_cone(gamma).cone, -1)
             assert other == res.k_complex
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_flip_matches_the_block_form(field):
+    # the block form of the module docstring, every block written out and
+    # every negated one negated by mat_neg
+    rng = random.Random(19)
+    for _ in range(15):
+        cs = random_cospan(rng, field)
+        big_l, big_m, kbar = cs.alpha.source, cs.beta.source, cs.alpha.target
+        lo = min(big_l.lo, big_m.lo, kbar.lo + 1)
+        hi = max(big_l.hi, big_m.hi, kbar.hi + 1)
+        dims = {i: big_l.dim(i) + big_m.dim(i) + kbar.dim(i - 1) for i in range(lo, hi + 1)}
+
+        def zeros(rows, cols):
+            return Matrix.zeros(field, rows, cols)
+
+        diff = {
+            i: block(field, [
+                [big_l.d(i), zeros(big_l.dim(i + 1), big_m.dim(i)), zeros(big_l.dim(i + 1), kbar.dim(i - 1))],
+                [zeros(big_m.dim(i + 1), big_l.dim(i)), big_m.d(i), zeros(big_m.dim(i + 1), kbar.dim(i - 1))],
+                [mat_neg(cs.alpha.component(i)), mat_neg(cs.beta.component(i)), mat_neg(kbar.d(i - 1))],
+            ])
+            for i in range(lo, hi)
+        }
+        want = CochainComplex.create(field, dims, diff, lo=lo, hi=hi)
+        assert flip_cospan(cs).k_complex == want
 
 
 def test_flip_acyclicity_chain():
