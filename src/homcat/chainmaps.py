@@ -28,12 +28,12 @@ degree by degree, with no linear system to solve.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import ClassVar, Mapping, Optional
 
 from .complexes import CACHE_SIZE, CochainComplex, cohomology, shift
 from .errors import FieldMismatchError, InvalidChainMapError, ShapeMismatchError
+from .fields import _Frozen
 from .matrices import Matrix, mat_add, mat_mul, mat_neg, mat_sub, rank
 
 __all__ = [
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _GradedMap:
+class _GradedMap(_Frozen):
     """A graded map of degree ``degree``: components A^i -> B^{i+degree}.
 
     One matrix is stored per degree of the storage ``window``, where both
@@ -65,22 +64,21 @@ class _GradedMap:
     else the component is the forced zero matrix.
     """
 
-    source: CochainComplex
-    target: CochainComplex
-    components: tuple[Matrix, ...]
-    # the degrees i whose component is stored; derived, so not compared
-    window: range = dataclass_field(init=False, repr=False, compare=False)
-    # the hash, filled on first use from hashes that are the same in
-    # every process, as CochainComplex's and Matrix's are
-    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
+    # not compared: window, the degrees i whose component is stored, and
+    # _hash, filled on first use from hashes that are the same in every
+    # process, as CochainComplex's and Matrix's are
+    _fields = ("source", "target", "components")
 
     degree: ClassVar[int]
     _noun: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        if self.source.field != self.target.field:
-            raise FieldMismatchError(f"{self.source.field} vs {self.target.field}")
-        object.__setattr__(self, "window", self._window(self.source, self.target))
+    def __init__(
+        self, source: CochainComplex, target: CochainComplex, components: tuple[Matrix, ...]
+    ) -> None:
+        if source.field != target.field:
+            raise FieldMismatchError(f"{source.field} vs {target.field}")
+        window = self._window(source, target)
+        self._store(source=source, target=target, components=components, window=window, _hash=None)
 
     @classmethod
     def _window(cls, source: CochainComplex, target: CochainComplex) -> range:
@@ -171,14 +169,19 @@ def zero_homotopy(source: CochainComplex, target: CochainComplex) -> Homotopy:
     return Homotopy.create(source, target, {})
 
 
-@dataclass(frozen=True)
-class ChainMapValidation:
+class ChainMapValidation(_Frozen):
     """Outcome of validate_chain_map; on failure carries both offending products."""
 
-    ok: bool
-    degree: Optional[int] = None
-    left: Optional[Matrix] = None   # d_target composed with f^i
-    right: Optional[Matrix] = None  # f^{i+1} composed with d_source
+    _fields = ("ok", "degree", "left", "right")
+
+    def __init__(
+        self,
+        ok: bool,
+        degree: Optional[int] = None,
+        left: Optional[Matrix] = None,  # d_target composed with f^i
+        right: Optional[Matrix] = None,  # f^{i+1} composed with d_source
+    ) -> None:
+        self._store(ok=ok, degree=degree, left=left, right=right)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

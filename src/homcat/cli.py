@@ -4,23 +4,24 @@ Usage: ``homcat COMMAND SESSION-FILE [ARGS...]``.  Verdict commands print
 a small JSON report; constructive commands print a complete session
 fragment that parses on its own, so outputs can be piped into files and
 fed straight back in.  Exit codes: 0 for success or a true verdict, 1
-for a well-formed false or "none" verdict, 2 for any input error, 3 for
-an internal fault (any exception that is not a HomcatError), reported in
-one line on stderr.
+for a well-formed false or "none" verdict, 2 for any input error or a
+failed write of the output, 3 for an internal fault (any exception that
+is not a HomcatError), reported in one line on stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .chainmaps import find_homotopy, is_quasi_iso
 from .complexes import cohomology, shift
 from .cones import check_les_exact, cone_triangle, mapping_cone
 from .errors import HomcatError, UnknownReferenceError, UsageError, quote
+from .fields import _Frozen
 from .roofs import Cospan, RoofEquivalenceWitness, compose_roofs, flip_cospan, lift_map_to_roof, verify_roof_equivalence
 from .session import (
     HomotopyEntry,
@@ -32,7 +33,7 @@ from .session import (
     parse_session,
 )
 
-__all__ = ["run_command", "CommandResult", "main"]
+__all__ = ["run_command", "CommandResult", "main", "main_and_exit"]
 
 USAGE = """usage: homcat COMMAND SESSION-FILE [ARGS...]
 
@@ -55,10 +56,11 @@ exit codes: 0 success or true, 1 well-formed false or none, 2 input error,
 """
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    output: str
-    exit_code: int
+class CommandResult(_Frozen):
+    _fields = ("output", "exit_code")
+
+    def __init__(self, output: str, exit_code: int) -> None:
+        self._store(output=output, exit_code=exit_code)
 
 
 def _report(payload) -> str:
@@ -300,39 +302,60 @@ def run_command(session: SessionFile, command: str, args: Sequence[str]) -> Comm
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
+    """Run one command line and return its exit code, with stdout flushed."""
+    code, output = _dispatch(list(sys.argv[1:] if argv is None else argv))
+    try:
+        if output:  # an unbuffered stdout on a full device refuses even ""
+            sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write(f"cannot write output: {e.strerror or e}\n")
+        return 2
+    return code
+
+
+def _dispatch(args: list[str]) -> tuple[int, str]:
+    """The exit code and the stdout text of one command line; errors go to stderr."""
     if not args:
         sys.stderr.write(USAGE)
-        return 2
+        return 2, ""
     if args[0] in ("-h", "--help"):
-        sys.stdout.write(USAGE)
-        return 0
+        return 0, USAGE
     command = args[0]
     if command not in _COMMANDS:
         sys.stderr.write(f"unknown command {quote(command)}\n{USAGE}")
-        return 2
+        return 2, ""
     if len(args) < 2:
         sys.stderr.write(f"missing session file\n{USAGE}")
-        return 2
+        return 2, ""
     try:
         text = Path(args[1]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         reason = e.strerror if isinstance(e, OSError) and e.strerror else e
         sys.stderr.write(f"cannot read session file {quote(args[1])}: {reason}\n")
-        return 2
+        return 2, ""
     try:
         session = parse_session(text)
         result = run_command(session, command, args[2:])
     except HomcatError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
-        return 2
+        return 2, ""
     except Exception as e:  # a fault of homcat itself, not of the input
         detail = " ".join(str(e).split())[:200]
         sys.stderr.write(f"internal error: {type(e).__name__}: {detail}\n")
-        return 3
-    sys.stdout.write(result.output)
-    return result.exit_code
+        return 3, ""
+    return result.exit_code, result.output
+
+
+def main_and_exit() -> NoReturn:
+    """The ``homcat`` script and ``python -m homcat.cli``: run main, then end
+    the process at once.  main leaves stdout flushed, so only stderr needs a
+    flush; the interpreter's teardown, which frees every object one by one,
+    is skipped, as one command per process needs none of it."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

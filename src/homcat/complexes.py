@@ -34,12 +34,11 @@ composite and the identity.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 from .errors import FieldMismatchError, InvalidComplexError, ShapeMismatchError
-from .fields import FieldSpec
+from .fields import FieldSpec, _Frozen
 from .matrices import (
     Matrix,
     _canonical,
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(_Frozen):
     """A bounded complex: window [lo, hi], per-degree dims, differentials.
 
     ``dims[k]`` is the dimension in degree lo+k.  ``diff[k]`` is the
@@ -73,22 +71,21 @@ class CochainComplex:
     stored.  Construct through :meth:`create`.
     """
 
-    field: FieldSpec
-    lo: int
-    hi: int
-    dims: tuple[int, ...]
-    diff: tuple[Matrix, ...]
-    # the hash, filled on first use; as for Matrix it reads p, never the
-    # FieldSpec (whose str hash is salted), so a pickled one stays valid
-    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
+    # _hash, not compared, is filled on first use; as for Matrix it reads
+    # p, never the FieldSpec (whose str hash is salted), so a pickled one
+    # stays valid
+    _fields = ("field", "lo", "hi", "dims", "diff")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ShapeMismatchError(f"window [{self.lo}, {self.hi}] is empty")
-        if len(self.dims) != self.hi - self.lo + 1:
+    def __init__(
+        self, field: FieldSpec, lo: int, hi: int, dims: tuple[int, ...], diff: tuple[Matrix, ...]
+    ) -> None:
+        if lo > hi:
+            raise ShapeMismatchError(f"window [{lo}, {hi}] is empty")
+        if len(dims) != hi - lo + 1:
             raise ShapeMismatchError("dims tuple does not span the window")
-        if len(self.diff) != self.hi - self.lo:
+        if len(diff) != hi - lo:
             raise ShapeMismatchError("diff tuple does not span the window")
+        self._store(field=field, lo=lo, hi=hi, dims=dims, diff=diff, _hash=None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -185,13 +182,13 @@ class CochainComplex:
 _INTERNED: "weakref.WeakValueDictionary[tuple, CochainComplex]" = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class ComplexValidation:
+class ComplexValidation(_Frozen):
     """Outcome of validate_complex; on failure carries the first bad degree."""
 
-    ok: bool
-    degree: Optional[int] = None
-    product: Optional[Matrix] = None
+    _fields = ("ok", "degree", "product")
+
+    def __init__(self, ok: bool, degree: Optional[int] = None, product: Optional[Matrix] = None) -> None:
+        self._store(ok=ok, degree=degree, product=product)
 
 
 # the bound of each of the four per-value caches (validate_complex,
@@ -236,8 +233,7 @@ def direct_sum_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     return CochainComplex.create(a.field, dims, diff, lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class CohomologySpace:
+class CohomologySpace(_Frozen):
     """Canonical presentation of H^degree, with the contraction data there.
 
     ``cocycle_basis`` has one column per kernel basis vector of d^i.
@@ -251,15 +247,26 @@ class CohomologySpace:
     they read off a cocycle's coordinates.
     """
 
-    degree: int
-    dim: int
-    cocycle_basis: Matrix
-    rep_columns: tuple[int, ...]
-    projection: Matrix
-    free_rows: tuple[int, ...]
-    # the rep_columns of cocycle_basis, so derived and not compared
-    incl: Matrix = dataclass_field(compare=False, repr=False)
-    complex: CochainComplex = dataclass_field(compare=False, repr=False)
+    # incl (the rep_columns of cocycle_basis) and complex are derived, so
+    # not compared
+    _fields = ("degree", "dim", "cocycle_basis", "rep_columns", "projection", "free_rows")
+
+    def __init__(
+        self,
+        degree: int,
+        dim: int,
+        cocycle_basis: Matrix,
+        rep_columns: tuple[int, ...],
+        projection: Matrix,
+        free_rows: tuple[int, ...],
+        incl: Matrix,
+        complex: CochainComplex,
+    ) -> None:
+        # not slotted: the two cached_propertys below fill the instance __dict__
+        self._store(
+            degree=degree, dim=dim, cocycle_basis=cocycle_basis, rep_columns=rep_columns,
+            projection=projection, free_rows=free_rows, incl=incl, complex=complex,
+        )
 
     def classes(self, m: Matrix) -> Matrix:
         """The classes of the cocycle columns of m in the canonical basis of H^i."""

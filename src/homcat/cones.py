@@ -16,7 +16,6 @@ everything one step left and negates the shifted map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .chainmaps import (
@@ -32,6 +31,7 @@ from .chainmaps import (
 )
 from .complexes import CochainComplex, shift
 from .errors import InvalidChainMapError, ShapeMismatchError
+from .fields import _Frozen
 from .matrices import Matrix, block, mat_mul, rank
 
 __all__ = [
@@ -51,21 +51,19 @@ class MappingCone(NamedTuple):
     proj: ChainMap
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(_Frozen):
     """Maps f: X -> Y, g: Y -> Z, h: Z -> X[1], endpoints checked exactly."""
 
-    f: ChainMap
-    g: ChainMap
-    h: ChainMap
+    _fields = ("f", "g", "h")
 
-    def __post_init__(self) -> None:
-        if self.f.target != self.g.source:
+    def __init__(self, f: ChainMap, g: ChainMap, h: ChainMap) -> None:
+        if f.target != g.source:
             raise ShapeMismatchError("triangle: target of f is not source of g")
-        if self.g.target != self.h.source:
+        if g.target != h.source:
             raise ShapeMismatchError("triangle: target of g is not source of h")
-        if self.h.target != shift(self.f.source, 1):
+        if h.target != shift(f.source, 1):
             raise ShapeMismatchError("triangle: target of h is not the shift of the source of f")
+        self._store(f=f, g=g, h=h)
 
 
 def mapping_cone(f: ChainMap) -> MappingCone:

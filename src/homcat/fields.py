@@ -10,10 +10,55 @@ never appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = ["FieldSpec"]
+
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its compared fields in ``_fields``; equality, the
+    hash and the repr read those, and a value never equals one of another
+    class.  Its ``__init__`` checks its arguments and then stores them
+    through ``_store``, since assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the tuple of a value's compared fields, read in C
+        if "_fields" in cls.__dict__:
+            cls._values = attrgetter(*cls._fields)
+
+    def _store(self, **fields) -> None:
+        # object.__setattr__ keeps the values inline in the instance; going
+        # through self.__dict__ would build a dict of twice the size
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _is_prime(n: int) -> bool:
@@ -40,16 +85,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Frozen):
     """A coefficient field: ``kind`` is "prime" (with modulus ``p``) or "rational"."""
 
-    kind: str
-    p: int | None = None
+    _fields = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "prime":
-            p = self.p
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind == "prime":
             # bool is an int subclass; never a modulus
             if not isinstance(p, int) or isinstance(p, bool):
                 raise ValueError(f"prime field needs an integer modulus, got {p!r}")
@@ -57,11 +99,12 @@ class FieldSpec:
                 raise ValueError(f"modulus out of range [2, 2^31): {p}")
             if not _is_prime(p):
                 raise ValueError(f"modulus is not prime: {p}")
-        elif self.kind == "rational":
-            if self.p is not None:
+        elif kind == "rational":
+            if p is not None:
                 raise ValueError("rational field takes no modulus")
         else:
-            raise ValueError(f"unknown field kind: {self.kind!r}")
+            raise ValueError(f"unknown field kind: {kind!r}")
+        self._store(kind=kind, p=p)
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":

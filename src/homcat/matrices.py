@@ -45,7 +45,6 @@ factor by its own lcm, and write one Fraction(x, r_i c_j) per entry.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -53,7 +52,7 @@ from sys import byteorder
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeMismatchError, quote
-from .fields import FieldSpec
+from .fields import FieldSpec, _Frozen
 
 __all__ = [
     "Matrix",
@@ -76,8 +75,7 @@ __all__ = [
 _DENOMINATOR_BITS = 128
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
+class Matrix(_Frozen):
     """An exact rows x cols matrix over ``field``, entries flat and row-major.
 
     Over F_p every entry must be an int in [0, p): the packed kernels
@@ -87,33 +85,31 @@ class Matrix:
     checks.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
-    field: FieldSpec
-    # caches of the integer form and of the hash, filled on first use; the
-    # hash covers ints only (never the FieldSpec, whose str hash is salted
-    # per process), so a pickled cached hash stays valid
-    _form: Optional[tuple] = dataclass_field(default=None, init=False, compare=False, repr=False)
-    _hash: Optional[int] = dataclass_field(default=None, init=False, compare=False, repr=False)
+    # _form and _hash cache the integer form and the hash, filled on first
+    # use; the hash covers ints only (never the FieldSpec, whose str hash is
+    # salted per process), so a pickled cached hash stays valid
+    __slots__ = ("rows", "cols", "entries", "field", "_form", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatchError(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeMismatchError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-        p = self.field.p
+    def __init__(self, rows: int, cols: int, entries: tuple, field: FieldSpec) -> None:
+        if rows < 0 or cols < 0:
+            raise ShapeMismatchError(f"negative shape {rows}x{cols}")
+        if len(entries) != rows * cols:
+            raise ShapeMismatchError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        p = field.p
         if p is not None:
-            for x in self.entries:
+            for x in entries:
                 if type(x) is not int or not 0 <= x < p:
                     raise ValueError(f"entry {quote(x)} is not an integer in [0, {p})")
         else:
-            for x in self.entries:
+            for x in entries:
                 if type(x) is not Fraction:
                     raise ValueError(f"entry {quote(x)} is not a Fraction")
+        self._store(rows=rows, cols=cols, entries=entries, field=field, _form=None, _hash=None)
+
+    def __reduce__(self):
+        # the frozen __setattr__ would refuse pickle's default restore of
+        # slot state; rebuild through _canonical and carry both caches
+        return (_unpickled, (self.rows, self.cols, self.entries, self.field, self._form, self._hash))
 
     def __getattr__(self, name: str):
         # called only when a slot is unset: a Q matrix built from its form
@@ -248,7 +244,7 @@ def _rational(rows: int, cols: int, den: int, ints: Sequence[int], field: FieldS
 
 def _canonical(rows: int, cols: int, entries: Optional[tuple], field: FieldSpec, form=None) -> Matrix:
     """The matrix of ``entries``, canonical scalars of ``field`` and rows * cols
-    many, built without the checks of Matrix.__post_init__.  A Q matrix may
+    many, built without the checks of Matrix.__init__.  A Q matrix may
     give its ``form`` instead; its entries are then built on first read."""
     m = object.__new__(Matrix)
     put = object.__setattr__
@@ -259,6 +255,12 @@ def _canonical(rows: int, cols: int, entries: Optional[tuple], field: FieldSpec,
     put(m, "field", field)
     put(m, "_form", form)
     put(m, "_hash", None)
+    return m
+
+
+def _unpickled(rows: int, cols: int, entries: tuple, field: FieldSpec, form, h) -> Matrix:
+    m = _canonical(rows, cols, entries, field, form)
+    object.__setattr__(m, "_hash", h)
     return m
 
 

@@ -32,8 +32,6 @@ comparison goes through find_homotopy rather than matrix equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chainmaps import (
     ChainMap,
     Homotopy,
@@ -45,6 +43,7 @@ from .chainmaps import (
 )
 from .complexes import CochainComplex, shift
 from .errors import NotQuasiIsoError, ShapeMismatchError
+from .fields import _Frozen
 from .matrices import Matrix, block, mat_neg
 
 __all__ = [
@@ -59,67 +58,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Roof:
+class Roof(_Frozen):
     """A <- apex -> B with a quasi-isomorphism denominator apex -> A."""
 
-    apex: CochainComplex
-    denom: ChainMap
-    numer: ChainMap
+    _fields = ("apex", "denom", "numer")
 
-    def __post_init__(self) -> None:
-        if self.denom.source != self.apex or self.numer.source != self.apex:
+    def __init__(self, apex: CochainComplex, denom: ChainMap, numer: ChainMap) -> None:
+        if denom.source != apex or numer.source != apex:
             raise ShapeMismatchError("roof legs must start at the apex")
-        if not is_quasi_iso(self.denom):
+        if not is_quasi_iso(denom):
             raise NotQuasiIsoError("roof denominator is not a quasi-isomorphism")
+        self._store(apex=apex, denom=denom, numer=numer)
 
 
-@dataclass(frozen=True)
-class Cospan:
+class Cospan(_Frozen):
     """alpha: L -> Kbar and beta: M -> Kbar with beta a quasi-isomorphism."""
 
-    alpha: ChainMap
-    beta: ChainMap
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.alpha.target != self.beta.target:
+    def __init__(self, alpha: ChainMap, beta: ChainMap) -> None:
+        if alpha.target != beta.target:
             raise ShapeMismatchError("cospan legs must share their target")
-        if not is_quasi_iso(self.beta):
+        if not is_quasi_iso(beta):
             raise NotQuasiIsoError("cospan wrong leg: beta is not a quasi-isomorphism")
+        self._store(alpha=alpha, beta=beta)
 
 
-@dataclass(frozen=True)
-class FlipResult:
+class FlipResult(_Frozen):
     """The span produced by flip_cospan, with its explicit homotopy witness."""
 
-    k_complex: CochainComplex
-    gamma2: ChainMap
-    gamma1: ChainMap
-    witness: Homotopy
+    _fields = ("k_complex", "gamma2", "gamma1", "witness")
 
-    def __post_init__(self) -> None:
-        if (
-            self.gamma2.source != self.k_complex
-            or self.gamma1.source != self.k_complex
-            or self.witness.source != self.k_complex
-        ):
+    def __init__(
+        self, k_complex: CochainComplex, gamma2: ChainMap, gamma1: ChainMap, witness: Homotopy
+    ) -> None:
+        if gamma2.source != k_complex or gamma1.source != k_complex or witness.source != k_complex:
             raise ShapeMismatchError("flip components must start at the flipped complex")
+        self._store(k_complex=k_complex, gamma2=gamma2, gamma1=gamma1, witness=witness)
 
 
-@dataclass(frozen=True)
-class RoofEquivalenceWitness:
+class RoofEquivalenceWitness(_Frozen):
     """A third apex with maps comparing two roofs over the same endpoints."""
 
-    apex3: CochainComplex
-    denom3: ChainMap
-    numer3: ChainMap
-    up: ChainMap
-    down: ChainMap
+    _fields = ("apex3", "denom3", "numer3", "up", "down")
 
-    def __post_init__(self) -> None:
-        for leg in (self.denom3, self.numer3, self.up, self.down):
-            if leg.source != self.apex3:
+    def __init__(
+        self, apex3: CochainComplex, denom3: ChainMap, numer3: ChainMap, up: ChainMap, down: ChainMap
+    ) -> None:
+        for leg in (denom3, numer3, up, down):
+            if leg.source != apex3:
                 raise ShapeMismatchError("witness legs must start at the witness apex")
+        self._store(apex3=apex3, denom3=denom3, numer3=numer3, up=up, down=down)
 
 
 def flip_cospan(c: Cospan) -> FlipResult:
@@ -165,10 +154,9 @@ def flip_cospan(c: Cospan) -> FlipResult:
 
 
 def _unchecked(cls, **fields):
-    """A frozen dataclass ``cls`` built without running its __post_init__."""
+    """A value of the frozen type ``cls`` built without running the checks of its __init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj._store(**fields)
     return obj
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .chainmaps import ChainMap, Homotopy, _require_valid_map
@@ -48,7 +47,7 @@ from .errors import (
     UnknownReferenceError,
     quote,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, _Frozen
 from .matrices import Matrix, _canonical
 from .roofs import Roof
 
@@ -77,34 +76,47 @@ MAX_DEGREES = 100_000
 MAX_ENTRIES = 4_000_000
 
 
-@dataclass(frozen=True)
-class MapEntry:
-    source: str
-    target: str
-    value: ChainMap
+class MapEntry(_Frozen):
+    _fields = ("source", "target", "value")
+
+    def __init__(self, source: str, target: str, value: ChainMap) -> None:
+        self._store(source=source, target=target, value=value)
 
 
-@dataclass(frozen=True)
-class HomotopyEntry:
-    source: str
-    target: str
-    value: Homotopy
+class HomotopyEntry(_Frozen):
+    _fields = ("source", "target", "value")
+
+    def __init__(self, source: str, target: str, value: Homotopy) -> None:
+        self._store(source=source, target=target, value=value)
 
 
-@dataclass(frozen=True)
-class RoofEntry:
-    denom: str
-    numer: str
-    value: Roof
+class RoofEntry(_Frozen):
+    _fields = ("denom", "numer", "value")
+
+    def __init__(self, denom: str, numer: str, value: Roof) -> None:
+        self._store(denom=denom, numer=numer, value=value)
 
 
-@dataclass(frozen=True)
-class SessionFile:
-    field: FieldSpec
-    objects: dict[str, CochainComplex] = dataclass_field(default_factory=dict)
-    maps: dict[str, MapEntry] = dataclass_field(default_factory=dict)
-    homotopies: dict[str, HomotopyEntry] = dataclass_field(default_factory=dict)
-    roofs: dict[str, RoofEntry] = dataclass_field(default_factory=dict)
+class SessionFile(_Frozen):
+    """A parsed session; each table omitted is a fresh empty dict."""
+
+    _fields = ("field", "objects", "maps", "homotopies", "roofs")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        objects: dict[str, CochainComplex] | None = None,
+        maps: dict[str, MapEntry] | None = None,
+        homotopies: dict[str, HomotopyEntry] | None = None,
+        roofs: dict[str, RoofEntry] | None = None,
+    ) -> None:
+        self._store(
+            field=field,
+            objects={} if objects is None else objects,
+            maps={} if maps is None else maps,
+            homotopies={} if homotopies is None else homotopies,
+            roofs={} if roofs is None else roofs,
+        )
 
 
 # -- parsing -----------------------------------------------------------------

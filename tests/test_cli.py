@@ -1,7 +1,9 @@
 """Command line driver: reports, fragments, exit-code discipline.
 
 Most tests call main() in process; subprocess tests confirm that the
-installed console script wires up to the same entry point and that
+installed console script wires up to the same entry point, that the
+process, which ends without interpreter teardown, writes exactly the
+bytes main() writes, that a failed write of the output exits 2, and that
 every command runs, with the same stdout, when numpy is unimportable.
 """
 
@@ -535,6 +537,103 @@ def test_p_session_stdout_is_pinned(capsys, tmp_path, argv, code, digest):
     path.write_text(json.dumps(SESSION_P))
     got_code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
+# the process path: python -m homcat.cli ends the process without teardown,
+# so it must write exactly the bytes main() writes, on a buffered pipe too
+
+_P_WITNESS = ("--witness", "A", "idA", "f", "idA", "idA")
+
+# every command on SESSION_P: the pinned ones and the rest
+_P_INVOCATIONS = [argv for argv, _, _ in _P_GOLDEN] + [
+    ("validate",),
+    ("cohomology", "A"),
+    ("cohomology", "C"),
+    ("shift", "C", "-1"),
+    ("homotopic", "f", "f"),
+    ("homotopic", "f", "g"),
+    ("qis", "f"),
+    ("qis", "g"),
+    ("roof-equiv", "rf", "rf", *_P_WITNESS),
+    ("roof-equiv", "rf", "rg", *_P_WITNESS),
+]
+
+
+def _large_session(n=20):
+    """An n x n differential and its identity map over p = 2^31 - 1: the
+    cone of idX is a fragment of more than 64 KiB."""
+    rng = random.Random(5)
+    d = [[rng.randrange(_P) for _ in range(n)] for _ in range(n)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    return {
+        "field": {"kind": "prime", "p": _P},
+        "objects": {"X": {"dims": {"0": n, "1": n}, "diff": {"0": d}}},
+        "maps": {"idX": {"from": "X", "to": "X", "components": {"0": ident, "1": ident}}},
+        "homotopies": {},
+        "roofs": {},
+    }
+
+
+def _homcat_process(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "homcat.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120
+    )
+
+
+def test_the_process_writes_exactly_what_main_writes(capsys, tmp_path):
+    runs = [("--help",)]
+    for name, doc, invocations in (
+        ("q.json", SESSION_Q, [argv for argv, _, _ in _Q_GOLDEN]),
+        ("p.json", SESSION_P, _P_INVOCATIONS),
+        ("large.json", _large_session(), [("cone", "idX")]),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        runs += [(argv[0], str(path), *argv[1:]) for argv in invocations]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        proc = _homcat_process(*argv)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), (argv, proc.stderr.decode())
+    assert len(out) > 65536  # the large cone, more than a pipe holds
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cone", "f"), "cannot write output: "),
+        (("qis", "f"), "cannot write output: "),
+        # nothing to write: only the input error is reported
+        (("qis", "ghost"), "UnknownReferenceError: "),
+    ],
+    ids=["cone", "qis", "input-error"],
+)
+def test_a_failed_write_of_the_output_exits_2_with_one_line(tmp_path, argv, message, unbuffered):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(SESSION_Q))
+    with open("/dev/full", "wb") as full:
+        proc = _homcat_process(argv[0], str(path), *argv[1:], stdout=full, unbuffered=unbuffered)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_importing_homcat_loads_no_dataclasses():
+    check = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import homcat.cli\n"
+        "added = set(sys.modules) - before\n"
+        "assert not added & {'dataclasses', 'inspect'}, sorted(added & {'dataclasses', 'inspect'})\n"
+    )
+    proc = _python(check)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # hostile input: exit 2 with the error class on stderr, never a traceback
