@@ -23,6 +23,11 @@ that vanishes on cohomology.  find_homotopy decides that and builds a
 witness in closed form from the contraction data (incl, proj, htpy) that
 the cohomology of both complexes carries (see complexes.CohomologySpace),
 degree by degree, with no linear system to solve.
+
+Every reader of H^i(f) (induced_cohomology_map, is_quasi_iso,
+find_homotopy's test on cohomology and cones.check_les_exact) gets it
+from one primitive, which caches it per map and degree, under the
+shared CACHE_SIZE bound and only for maps already validated.
 """
 
 from __future__ import annotations
@@ -302,8 +307,13 @@ def induced_cohomology_map(f: ChainMap, i: int) -> Matrix:
     return _induced_map(f, i)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _induced_map(f: ChainMap, i: int) -> Matrix:
-    """induced_cohomology_map for an f already known to be a chain map."""
+    """induced_cohomology_map for an f already known to be a chain map.
+
+    H^i(f) is computed once per map and degree: every caller validates f
+    first, so only chain maps are cached, and an invalid map raises on
+    every call."""
     incl = cohomology(f.source, i).incl
     return cohomology(f.target, i).classes(mat_mul(f.component(i), incl))
 

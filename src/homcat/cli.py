@@ -5,12 +5,14 @@ a small JSON report; constructive commands print a complete session
 fragment that parses on its own, so outputs can be piped into files and
 fed straight back in.  Exit codes: 0 for success or a true verdict, 1
 for a well-formed false or "none" verdict, 2 for any input error or a
-failed write of the output, 3 for an internal fault (any exception that
-is not a HomcatError), reported in one line on stderr.
+failed write of the output (a closed stdout too), 3 for an internal
+fault (any exception that is not a HomcatError), reported in one line on
+stderr; a closed stderr drops that line and keeps the exit code.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -304,57 +306,72 @@ def run_command(session: SessionFile, command: str, args: Sequence[str]) -> Comm
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line and return its exit code, with stdout flushed."""
     code, output = _dispatch(list(sys.argv[1:] if argv is None else argv))
+    out = sys.stdout  # None when the process started with fd 1 closed
     try:
         if output:  # an unbuffered stdout on a full device refuses even ""
-            sys.stdout.write(output)
-        sys.stdout.flush()
+            if out is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            out.write(output)
+        if out is not None:
+            out.flush()
     except OSError as e:
-        sys.stderr.write(f"cannot write output: {e.strerror or e}\n")
+        _warn(f"cannot write output: {e.strerror or e}\n")
         return 2
     return code
+
+
+def _warn(text: str) -> None:
+    """Write and flush a line to stderr, or nowhere when stderr is closed
+    (None when the process started with fd 2 closed) or refuses the
+    write: the exit code still tells the outcome."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def _dispatch(args: list[str]) -> tuple[int, str]:
     """The exit code and the stdout text of one command line; errors go to stderr."""
     if not args:
-        sys.stderr.write(USAGE)
+        _warn(USAGE)
         return 2, ""
     if args[0] in ("-h", "--help"):
         return 0, USAGE
     command = args[0]
     if command not in _COMMANDS:
-        sys.stderr.write(f"unknown command {quote(command)}\n{USAGE}")
+        _warn(f"unknown command {quote(command)}\n{USAGE}")
         return 2, ""
     if len(args) < 2:
-        sys.stderr.write(f"missing session file\n{USAGE}")
+        _warn(f"missing session file\n{USAGE}")
         return 2, ""
     try:
         text = Path(args[1]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         reason = e.strerror if isinstance(e, OSError) and e.strerror else e
-        sys.stderr.write(f"cannot read session file {quote(args[1])}: {reason}\n")
+        _warn(f"cannot read session file {quote(args[1])}: {reason}\n")
         return 2, ""
     try:
         session = parse_session(text)
         result = run_command(session, command, args[2:])
     except HomcatError as e:
-        sys.stderr.write(f"{type(e).__name__}: {e}\n")
+        _warn(f"{type(e).__name__}: {e}\n")
         return 2, ""
     except Exception as e:  # a fault of homcat itself, not of the input
         detail = " ".join(str(e).split())[:200]
-        sys.stderr.write(f"internal error: {type(e).__name__}: {detail}\n")
+        _warn(f"internal error: {type(e).__name__}: {detail}\n")
         return 3, ""
     return result.exit_code, result.output
 
 
 def main_and_exit() -> NoReturn:
     """The ``homcat`` script and ``python -m homcat.cli``: run main, then end
-    the process at once.  main leaves stdout flushed, so only stderr needs a
-    flush; the interpreter's teardown, which frees every object one by one,
-    is skipped, as one command per process needs none of it."""
-    code = main()
-    sys.stderr.flush()
-    os._exit(code)
+    the process at once.  main leaves stdout flushed and flushes each line
+    it writes to stderr, so the interpreter's teardown, which frees every
+    object one by one, is skipped, as one command per process needs none
+    of it."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

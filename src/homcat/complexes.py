@@ -191,10 +191,11 @@ class ComplexValidation(_Frozen):
         self._store(ok=ok, degree=degree, product=product)
 
 
-# the bound of each of the four per-value caches (validate_complex,
-# cohomology, shift, validate_chain_map): several times the working set
-# of a small pool of repeated inputs, so that pool keeps every hit, while
-# a stream of fresh inputs cannot grow memory without end
+# the bound of each of the five per-value caches (validate_complex,
+# cohomology, shift, validate_chain_map, chainmaps._induced_map): several
+# times the working set of a small pool of repeated inputs, so that pool
+# keeps every hit, while a stream of fresh inputs cannot grow memory
+# without end
 CACHE_SIZE = 4096
 
 

@@ -22,13 +22,16 @@ from homcat import (
     ChainMap,
     CochainComplex,
     Homotopy,
+    InvalidChainMapError,
     InvalidComplexError,
     Matrix,
     ShapeMismatchError,
     check_homotopy,
     check_homotopy_equivalence,
+    check_les_exact,
     cohomology,
     compose_chain_maps,
+    cone_triangle,
     find_homotopy,
     identity_chain_map,
     induced_cohomology_map,
@@ -39,7 +42,7 @@ from homcat import (
     zero_chain_map,
     zero_homotopy,
 )
-from homcat.chainmaps import _INTERNED
+from homcat.chainmaps import _INTERNED, _induced_map
 from randgen import (
     F2,
     F5,
@@ -606,6 +609,56 @@ def test_induced_map_is_contraction_sandwich(field):
             image = mat_mul(f.component(i), cohomology(a, i).incl)
             sandwich = mat_mul(cohomology(b, i).proj, image)
             assert sandwich == induced_cohomology_map(f, i)
+
+
+def _rebuilt(f):
+    """f built again through ChainMap.create, from fresh matrices with equal entries."""
+    fresh = {
+        i: Matrix.from_rows(m.field, [[m[r, c] for c in range(m.cols)] for r in range(m.rows)], cols=m.cols)
+        for i, m in zip(f.window, f.components)
+    }
+    return ChainMap.create(f.source, f.target, fresh)
+
+
+def test_induced_map_is_one_object_per_map_and_degree():
+    rng = random.Random(61)
+    a, b = random_complex(rng, Q), random_complex(rng, Q)
+    f = random_chain_map(rng, a, b)
+    for i in range(min(a.lo, b.lo) - 1, max(a.hi, b.hi) + 2):
+        assert induced_cohomology_map(f, i) is induced_cohomology_map(f, i)
+        assert induced_cohomology_map(_rebuilt(f), i) is induced_cohomology_map(f, i)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+@pytest.mark.parametrize(
+    "verdict",
+    [is_quasi_iso, lambda f: check_les_exact(cone_triangle(f))],
+    ids=["is_quasi_iso", "check_les_exact"],
+)
+def test_a_rebuilt_map_reads_its_induced_maps_from_the_cache(field, verdict):
+    rng = random.Random(63)
+    f = random_quasi_iso(rng, field)
+    assert verdict(f)
+    before = _induced_map.cache_info()
+    assert verdict(_rebuilt(f))
+    after = _induced_map.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def test_a_map_that_fails_the_square_check_raises_on_every_call():
+    # f^0 = 1 from F in degree 0 into F -> F: d_B f^0 = 1 but f^1 d_A = 0
+    f = ChainMap.create(point(F5), contractible(F5), {0: Matrix.identity(F5, 1)})
+    assert not validate_chain_map(f).ok
+    before = _induced_map.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidChainMapError):
+            induced_cohomology_map(f, 0)
+        with pytest.raises(InvalidChainMapError):
+            is_quasi_iso(f)
+        with pytest.raises(InvalidChainMapError):
+            check_les_exact(cone_triangle(f))
+    assert _induced_map.cache_info() == before
 
 
 # is_quasi_iso

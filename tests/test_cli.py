@@ -574,13 +574,21 @@ def _large_session(n=20):
     }
 
 
-def _homcat_process(*argv, stdout=subprocess.PIPE, unbuffered=False):
+def _homcat_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, closed_fd=None):
+    """Run ``python -m homcat.cli ARGV``; with ``closed_fd`` the child starts
+    with that descriptor closed, so its sys.stdout or sys.stderr is None."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    preexec = None if closed_fd is None else (lambda: os.close(closed_fd))
     return subprocess.run(
-        [sys.executable, "-m", "homcat.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120
+        [sys.executable, "-m", "homcat.cli", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=stderr,
+        preexec_fn=preexec,
+        timeout=120,
     )
 
 
@@ -622,6 +630,51 @@ def test_a_failed_write_of_the_output_exits_2_with_one_line(tmp_path, argv, mess
     assert proc.returncode == 2, err
     assert err.startswith(message) and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cone", "f"), "cannot write output: "),
+        (("qis", "g"), "cannot write output: "),
+        (("--help",), "cannot write output: "),
+        # nothing to write: only the input error is reported
+        (("qis", "ghost"), "UnknownReferenceError: "),
+    ],
+    ids=["cone", "qis-false", "help", "input-error"],
+)
+def test_a_closed_stdout_exits_2_with_one_line(tmp_path, argv, message):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(SESSION_Q))
+    args = argv if argv[0] == "--help" else (argv[0], str(path), *argv[1:])
+    proc = _homcat_process(*args, closed_fd=1)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("cone", "f"), 0), (("qis", "f"), 0), (("qis", "g"), 1), (("qis", "ghost"), 2), (("qis",), 2)],
+    ids=["cone", "qis-true", "qis-false", "input-error", "usage"],
+)
+def test_a_closed_or_full_stderr_keeps_the_exit_code_and_the_output(capsys, tmp_path, argv, code, stderr):
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(SESSION_Q))
+    args = (argv[0], str(path), *argv[1:])
+    want_code, out, _ = run(capsys, *args)
+    assert want_code == code
+    if stderr == "closed":
+        proc = _homcat_process(*args, closed_fd=2)
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = _homcat_process(*args, stderr=full)
+    # a traceback would have ended the process with exit 1
+    assert (proc.returncode, proc.stdout, proc.stderr or b"") == (code, out.encode(), b"")
 
 
 def test_importing_homcat_loads_no_dataclasses():

@@ -18,6 +18,8 @@ from homcat import (
     ShapeMismatchError,
     cohomology,
     direct_sum_complex,
+    identity_chain_map,
+    induced_cohomology_map,
     is_acyclic,
     mat_add,
     mat_mul,
@@ -26,6 +28,7 @@ from homcat import (
     validate_chain_map,
     validate_complex,
 )
+from homcat.chainmaps import _induced_map
 from homcat.complexes import _INTERNED, CACHE_SIZE
 from randgen import F2, F5, Q, random_complex, random_matrix
 
@@ -319,14 +322,15 @@ def test_contraction_requires_valid_complex():
 
 
 def test_caches_stay_at_their_bound_on_fresh_complexes():
+    one = Matrix.identity(F2, 1)
     for k in range(CACHE_SIZE + 50):
         c = CochainComplex.create(F2, dims={k: 1})
         assert cohomology(c, k).dim == 1
-    for cache in (cohomology, validate_complex):
+        assert induced_cohomology_map(identity_chain_map(c), k) == one
+    for cache in (cohomology, validate_complex, validate_chain_map, _induced_map):
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize == CACHE_SIZE
-    assert validate_chain_map.cache_info().maxsize == CACHE_SIZE
 
 
 @pytest.mark.parametrize("field", [F5, Q], ids=str)
