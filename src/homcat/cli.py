@@ -74,22 +74,11 @@ def _need(args: Sequence[str], count: int, command: str, shape: str) -> None:
         raise UsageError(f"usage: homcat {command} SESSION-FILE {shape}".rstrip())
 
 
-def _get_object(session: SessionFile, name: str):
-    if name not in session.objects:
-        raise UnknownReferenceError(f"unknown object {quote(name)}")
-    return session.objects[name]
-
-
-def _get_map(session: SessionFile, name: str) -> MapEntry:
-    if name not in session.maps:
-        raise UnknownReferenceError(f"unknown map {quote(name)}")
-    return session.maps[name]
-
-
-def _get_roof(session: SessionFile, name: str) -> RoofEntry:
-    if name not in session.roofs:
-        raise UnknownReferenceError(f"unknown roof {quote(name)}")
-    return session.roofs[name]
+def _get(table, kind: str, name: str):
+    """The entry ``name`` of a session table of ``kind`` (object, map, roof)."""
+    if name not in table:
+        raise UnknownReferenceError(f"unknown {kind} {quote(name)}")
+    return table[name]
 
 
 def _fresh(name: str, taken) -> str:
@@ -106,7 +95,7 @@ def _cmd_validate(session: SessionFile, args: Sequence[str]) -> CommandResult:
 def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "cohomology", "OBJECT")
     name = args[0]
-    c = _get_object(session, name)
+    c = _get(session.objects, "object", name)
     table = {}
     for i in c.degrees():
         space = cohomology(c, i)
@@ -123,7 +112,7 @@ def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 2, "shift", "OBJECT N")
-    c = _get_object(session, args[0])
+    c = _get(session.objects, "object", args[0])
     try:
         n = int(args[1])
     except ValueError:
@@ -135,7 +124,7 @@ def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
 def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "cone", "MAP")
     name = args[0]
-    entry = _get_map(session, name)
+    entry = _get(session.maps, "map", name)
     mc = mapping_cone(entry.value)
     objects = {entry.source: entry.value.source, entry.target: entry.value.target}
     cone_name = _fresh("cone", objects)
@@ -153,7 +142,7 @@ def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_les(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "les", "MAP")
-    entry = _get_map(session, args[0])
+    entry = _get(session.maps, "map", args[0])
     exact = check_les_exact(cone_triangle(entry.value))
     return CommandResult(
         _report({"command": "les", "map": args[0], "exact": exact}),
@@ -163,8 +152,8 @@ def _cmd_les(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_homotopic(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 2, "homotopic", "MAP MAP")
-    e1 = _get_map(session, args[0])
-    e2 = _get_map(session, args[1])
+    e1 = _get(session.maps, "map", args[0])
+    e2 = _get(session.maps, "map", args[1])
     witness = find_homotopy(e1.value, e2.value)
     if witness is None:
         return CommandResult(
@@ -182,7 +171,7 @@ def _cmd_homotopic(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_qis(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "qis", "MAP")
-    entry = _get_map(session, args[0])
+    entry = _get(session.maps, "map", args[0])
     verdict = is_quasi_iso(entry.value)
     return CommandResult(
         _report({"command": "qis", "map": args[0], "result": verdict}),
@@ -192,8 +181,8 @@ def _cmd_qis(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 2, "flip", "ALPHA BETA")
-    alpha = _get_map(session, args[0])
-    beta = _get_map(session, args[1])
+    alpha = _get(session.maps, "map", args[0])
+    beta = _get(session.maps, "map", args[1])
     flip = flip_cospan(Cospan(alpha=alpha.value, beta=beta.value))
     objects = {
         alpha.source: alpha.value.source,
@@ -217,8 +206,8 @@ def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 2, "compose", "ROOF ROOF")
-    r1 = _get_roof(session, args[0])
-    r2 = _get_roof(session, args[1])
+    r1 = _get(session.roofs, "roof", args[0])
+    r2 = _get(session.roofs, "roof", args[1])
     composite = compose_roofs(r1.value, r2.value)
     left_name = session.maps[r1.denom].target
     right_name = session.maps[r2.numer].target
@@ -246,14 +235,14 @@ def _cmd_roof_equiv(session: SessionFile, args: Sequence[str]) -> CommandResult:
         raise UsageError(
             "usage: homcat roof-equiv SESSION-FILE ROOF ROOF --witness APEX3 DENOM3 NUMER3 UP DOWN"
         )
-    r1 = _get_roof(session, args[0])
-    r2 = _get_roof(session, args[1])
+    r1 = _get(session.roofs, "roof", args[0])
+    r2 = _get(session.roofs, "roof", args[1])
     witness = RoofEquivalenceWitness(
-        apex3=_get_object(session, args[3]),
-        denom3=_get_map(session, args[4]).value,
-        numer3=_get_map(session, args[5]).value,
-        up=_get_map(session, args[6]).value,
-        down=_get_map(session, args[7]).value,
+        apex3=_get(session.objects, "object", args[3]),
+        denom3=_get(session.maps, "map", args[4]).value,
+        numer3=_get(session.maps, "map", args[5]).value,
+        up=_get(session.maps, "map", args[6]).value,
+        down=_get(session.maps, "map", args[7]).value,
     )
     verdict = verify_roof_equivalence(r1.value, r2.value, witness)
     return CommandResult(
@@ -264,7 +253,7 @@ def _cmd_roof_equiv(session: SessionFile, args: Sequence[str]) -> CommandResult:
 
 def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "lift", "MAP")
-    entry = _get_map(session, args[0])
+    entry = _get(session.maps, "map", args[0])
     roof = lift_map_to_roof(entry.value)
     objects = {entry.source: entry.value.source, entry.target: entry.value.target}
     maps = {

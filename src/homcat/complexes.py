@@ -9,6 +9,11 @@ dimensions and differentials all agree exactly.
 Shift convention used throughout the package: shifting by n moves degree
 i+n to degree i and scales every differential by (-1)^n.
 
+The direct sum, the mapping cone and the flipped cospan are twisted
+direct sums, all laid out by the one builder ``_twisted_sum`` (hull
+window, summed dims, block differential); ``_summand`` gives their
+structure maps as signed bands of rows of the identity.
+
 Equal complexes are one object: ``CochainComplex.create`` returns the
 complex already built with equal data while any reference to it lives.
 Its table holds the complexes weakly, so it shrinks as they die, and a
@@ -35,15 +40,15 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import FieldMismatchError, InvalidComplexError, ShapeMismatchError
 from .fields import FieldSpec, _Frozen
 from .matrices import (
     Matrix,
+    _band,
     _canonical,
     block,
-    block_diag,
     mat_mul,
     mat_neg,
     rref,
@@ -224,14 +229,42 @@ def shift(c: CochainComplex, n: int) -> CochainComplex:
     return CochainComplex.create(c.field, dims, diff, lo=c.lo - n, hi=c.hi - n)
 
 
+def _twisted_sum(
+    parts: tuple[CochainComplex, ...], below: Callable[[int], Mapping[tuple[int, int], Matrix]]
+) -> CochainComplex:
+    """The twisted direct sum of ``parts`` over the hull of their windows.
+
+    Degree i is the sum of the parts' degree i, in order.  The block
+    differential has the parts' differentials on its diagonal and, under
+    it, the blocks of the mapping ``below(i)``, keyed (row, column) with
+    row > column; every other block is zero.
+    """
+    lo = min(c.lo for c in parts)
+    hi = max(c.hi for c in parts)
+    dims = {i: sum(c.dim(i) for c in parts) for i in range(lo, hi + 1)}
+    diff = {}
+    for i in range(lo, hi):
+        under = below(i)
+        grid = [[c.d(i) if r == j else under.get((r, j)) for j in range(len(parts))] for r, c in enumerate(parts)]
+        diff[i] = block(parts[0].field, grid)
+    return CochainComplex.create(parts[0].field, dims, diff, lo=lo, hi=hi)
+
+
+def _summand(total: CochainComplex, parts: tuple[CochainComplex, ...], k: int, sign: int) -> dict[int, Matrix]:
+    """The projection of the twisted sum ``total`` of ``parts`` onto
+    ``parts[k]`` times ``sign``, per degree: a band of rows of the identity."""
+    comps = {}
+    for i in total.degrees():
+        start = sum(c.dim(i) for c in parts[:k])
+        comps[i] = _band(total.field, total.dim(i), start, start + parts[k].dim(i), sign)
+    return comps
+
+
 def direct_sum_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     """Degreewise direct sum, a-summand first, over the hull window."""
     if a.field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
-    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-    dims = {i: a.dim(i) + b.dim(i) for i in range(lo, hi + 1)}
-    diff = {i: block_diag(a.d(i), b.d(i)) for i in range(lo, hi)}
-    return CochainComplex.create(a.field, dims, diff, lo=lo, hi=hi)
+    return _twisted_sum((a, b), lambda i: {})
 
 
 class CohomologySpace(_Frozen):

@@ -6,12 +6,14 @@ A-block first.  Its differential in block form is
     [ -d_A^{i+1}    0     ]
     [  f^{i+1}    d_B^i   ]
 
-so the structural maps are the inclusion of B (bottom block) and the
-projection onto the shifted A (top block).  The top-left block is the
-differential of A[1], read off the cached shift, which is also the
-object the projection lands on.  A triangle records three composable
-maps whose last target is the shift of the first source; rotation moves
-everything one step left and negates the shifted map.
+so the cone is the twisted sum (A[1], B) of complexes._twisted_sum
+with f^{i+1} below, and the structural maps are its summand bands: the
+inclusion of B (bottom block) and the projection onto the shifted A
+(top block).  The top-left block is the differential of A[1], read off
+the cached shift, which is also the object the projection lands on.
+A triangle records three composable maps whose last target is the shift
+of the first source; rotation moves everything one step left and
+negates the shifted map.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .chainmaps import (
     shift_chain_map,
     zero_homotopy,
 )
-from .complexes import CochainComplex, shift
+from .complexes import CochainComplex, _summand, _twisted_sum, shift
 from .errors import InvalidChainMapError, ShapeMismatchError
 from .fields import _Frozen
-from .matrices import Matrix, block, mat_mul, rank
+from .matrices import block, mat_mul, rank, transpose
 
 __all__ = [
     "MappingCone",
@@ -70,21 +72,11 @@ def mapping_cone(f: ChainMap) -> MappingCone:
     """The cone of a valid chain map plus its two structural maps."""
     _require_valid_map(f, "cone input")
     # -d_A^{i+1} is the differential of the cached shift A[1] at degree i
-    a1, b = shift(f.source, 1), f.target
-    fld = b.field
-    lo = min(a1.lo, b.lo)
-    hi = max(a1.hi, b.hi)
-    dims = {i: a1.dim(i) + b.dim(i) for i in range(lo, hi + 1)}
-    diff = {i: block(fld, [[a1.d(i), None], [f.component(i + 1), b.d(i)]]) for i in range(lo, hi)}
-    cone = CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
-    # the structure maps are bands of the identity of each degree
-    incl_comps, proj_comps = {}, {}
-    for i in range(lo, hi + 1):
-        ident = Matrix.identity(fld, dims[i])
-        incl_comps[i] = ident.take_columns(range(a1.dim(i), dims[i]))
-        proj_comps[i] = ident.take_rows(range(a1.dim(i)))
-    incl = ChainMap.create(b, cone, incl_comps)
-    proj = ChainMap.create(cone, a1, proj_comps)
+    parts = (shift(f.source, 1), f.target)
+    cone = _twisted_sum(parts, lambda i: {(1, 0): f.component(i + 1)})
+    # the inclusion of B is the transpose of the projection onto it
+    incl = ChainMap.create(f.target, cone, {i: transpose(m) for i, m in _summand(cone, parts, 1, 1).items()})
+    proj = ChainMap.create(cone, parts[0], _summand(cone, parts, 0, 1))
     return MappingCone(cone, incl, proj)
 
 

@@ -147,10 +147,7 @@ class Matrix(_Frozen):
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return _integral(field, n, n, tuple(flat))
+        return _band(field, n, 0, n, 1)
 
     # -- access ------------------------------------------------------------
 
@@ -271,6 +268,17 @@ def _integral(field: FieldSpec, rows: int, cols: int, flat: tuple) -> Matrix:
     if field.kind == "rational":
         return _rational(rows, cols, 1, flat, field)
     return _canonical(rows, cols, flat, field)
+
+
+def _band(field: FieldSpec, n: int, start: int, stop: int, sign: int) -> Matrix:
+    """Rows start to stop of the n x n identity times ``sign``: row r holds
+    ``sign`` at column start + r and zeros elsewhere."""
+    rows = stop - start
+    s = sign % field.p if field.p else sign
+    flat = [0] * (rows * n)
+    for r in range(rows):
+        flat[r * n + start + r] = s
+    return _integral(field, rows, n, tuple(flat))
 
 
 def _relaid(a: Matrix, rows: int, cols: int, index: list[int]) -> Matrix:

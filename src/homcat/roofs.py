@@ -16,8 +16,9 @@ differential
 which is the shift by -1 of the cone of L -> MC(beta).  The two
 projections gamma2 = (id, 0, 0): K -> L and gamma1 = (0, -id, 0):
 K -> M close the square up to the explicit homotopy h^i = (0, 0, -id),
-and gamma2 inherits quasi-isomorphy from beta.  All three are row bands
-of the identity of K^i, the last two negated.
+and gamma2 inherits quasi-isomorphy from beta.  K is the twisted sum
+(L, M, Kbar[-1]) of complexes._twisted_sum, the builder the cone uses,
+and all three maps are its summand bands, the last two negated.
 
 Every Roof and Cospan a caller builds is checked.  What the library
 builds from checked values is not checked again: the middle cospan of a
@@ -41,10 +42,10 @@ from .chainmaps import (
     identity_chain_map,
     is_quasi_iso,
 )
-from .complexes import CochainComplex, shift
+from .complexes import CochainComplex, _summand, _twisted_sum, shift
 from .errors import NotQuasiIsoError, ShapeMismatchError
 from .fields import _Frozen
-from .matrices import Matrix, block, mat_neg
+from .matrices import mat_neg
 
 __all__ = [
     "Roof",
@@ -119,37 +120,14 @@ def flip_cospan(c: Cospan) -> FlipResult:
     because beta is; nothing is re-checked at run time.
     """
     alpha, beta = c.alpha, c.beta
-    big_l, big_m = alpha.source, beta.source
-    kbar = alpha.target
     # -d_Kbar^{i-1} is the differential of the cached shift Kbar[-1] at degree i
-    kbar_1 = shift(kbar, -1)
-    fld = big_l.field
-    lo = min(big_l.lo, big_m.lo, kbar_1.lo)
-    hi = max(big_l.hi, big_m.hi, kbar_1.hi)
-    dims = {i: big_l.dim(i) + big_m.dim(i) + kbar_1.dim(i) for i in range(lo, hi + 1)}
-    diff = {
-        i: block(
-            fld,
-            [
-                [big_l.d(i), None, None],
-                [None, big_m.d(i), None],
-                [mat_neg(alpha.component(i)), mat_neg(beta.component(i)), kbar_1.d(i)],
-            ],
-        )
-        for i in range(lo, hi)
-    }
-    k_complex = CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
-
-    gamma2_comps, gamma1_comps, witness_comps = {}, {}, {}
-    for i in range(lo, hi + 1):
-        ident = Matrix.identity(fld, dims[i])
-        nl, nlm = big_l.dim(i), big_l.dim(i) + big_m.dim(i)
-        gamma2_comps[i] = ident.take_rows(range(nl))
-        gamma1_comps[i] = mat_neg(ident.take_rows(range(nl, nlm)))
-        witness_comps[i] = mat_neg(ident.take_rows(range(nlm, dims[i])))
-    gamma2 = ChainMap.create(k_complex, big_l, gamma2_comps)
-    gamma1 = ChainMap.create(k_complex, big_m, gamma1_comps)
-    witness = Homotopy.create(k_complex, kbar, witness_comps)
+    parts = (alpha.source, beta.source, shift(alpha.target, -1))
+    k_complex = _twisted_sum(
+        parts, lambda i: {(2, 0): mat_neg(alpha.component(i)), (2, 1): mat_neg(beta.component(i))}
+    )
+    gamma2 = ChainMap.create(k_complex, parts[0], _summand(k_complex, parts, 0, 1))
+    gamma1 = ChainMap.create(k_complex, parts[1], _summand(k_complex, parts, 1, -1))
+    witness = Homotopy.create(k_complex, alpha.target, _summand(k_complex, parts, 2, -1))
     return FlipResult(k_complex, gamma2, gamma1, witness)
 
 

@@ -110,6 +110,16 @@ def test_unknown_name_exits_two(capsys, session_file):
     assert "UnknownReferenceError" in err
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(("cohomology", "nope"), "object"), (("qis", "nope"), "map"), (("compose", "nope", "nope"), "roof")],
+    ids=["object", "map", "roof"],
+)
+def test_unknown_name_message_names_its_kind(capsys, session_file, argv, kind):
+    code, out, err = run(capsys, argv[0], session_file, *argv[1:])
+    assert (code, out, err) == (2, "", f"UnknownReferenceError: unknown {kind} 'nope'\n")
+
+
 def test_wrong_arg_count(capsys, session_file):
     code, out, err = run(capsys, "qis", session_file)
     assert code == 2

@@ -13,6 +13,8 @@ import pytest
 
 from homcat import (
     CochainComplex,
+    FieldMismatchError,
+    FieldSpec,
     InvalidComplexError,
     Matrix,
     ShapeMismatchError,
@@ -165,6 +167,14 @@ def test_direct_sum_dims_add():
     b = CochainComplex.create(F5, dims={1: 1})
     s = direct_sum_complex(a, b)
     assert s.dim(0) == 1 and s.dim(1) == 3
+
+
+@pytest.mark.parametrize("other", [FieldSpec.prime(7), Q], ids=str)
+def test_direct_sum_refuses_two_fields(other):
+    a = CochainComplex.create(F5, dims={0: 1})
+    b = CochainComplex.create(other, dims={0: 1})
+    with pytest.raises(FieldMismatchError):
+        direct_sum_complex(a, b)
 
 
 # cohomology

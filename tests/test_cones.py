@@ -7,6 +7,7 @@ import pytest
 from homcat import (
     CochainComplex,
     ChainMap,
+    FieldSpec,
     Homotopy,
     InvalidChainMapError,
     Matrix,
@@ -109,7 +110,7 @@ def readme_cone(f):
     return CochainComplex.create(fld, dims, diff, lo=lo, hi=hi)
 
 
-@pytest.mark.parametrize("field", [F5, Q], ids=str)
+@pytest.mark.parametrize("field", [F5, Q, FieldSpec.prime(2**31 - 1)], ids=str)
 def test_cone_matches_the_readme_block_form(field):
     rng = random.Random(17)
     for _ in range(25):
@@ -118,6 +119,11 @@ def test_cone_matches_the_readme_block_form(field):
         f = random_chain_map(rng, a, b)
         mc = mapping_cone(f)
         assert mc.cone == readme_cone(f)
+        # incl and proj are the bottom and top bands of the identity, written out
+        for i in mc.cone.degrees():
+            ident = Matrix.identity(field, mc.cone.dim(i))
+            assert mc.incl.component(i) == ident.take_columns(range(a.dim(i + 1), mc.cone.dim(i)))
+            assert mc.proj.component(i) == ident.take_rows(range(a.dim(i + 1)))
         # the projection lands on the cached shift, which the triangle meets again
         assert mc.proj.target is shift(a, 1)
         assert cone_triangle(f).h.target is shift(f.source, 1)

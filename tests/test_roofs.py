@@ -14,6 +14,7 @@ from homcat import (
     ChainMap,
     CochainComplex,
     Cospan,
+    FieldSpec,
     Homotopy,
     Matrix,
     NotQuasiIsoError,
@@ -195,10 +196,10 @@ def test_flip_equals_shifted_cone_route():
             assert other == res.k_complex
 
 
-@pytest.mark.parametrize("field", [F5, Q], ids=str)
+@pytest.mark.parametrize("field", [F5, Q, FieldSpec.prime(2**31 - 1)], ids=str)
 def test_flip_matches_the_block_form(field):
     # the block form of the module docstring, every block written out and
-    # every negated one negated by mat_neg
+    # every negated one negated by mat_neg, and so are the three maps
     rng = random.Random(19)
     for _ in range(15):
         cs = random_cospan(rng, field)
@@ -219,7 +220,14 @@ def test_flip_matches_the_block_form(field):
             for i in range(lo, hi)
         }
         want = CochainComplex.create(field, dims, diff, lo=lo, hi=hi)
-        assert flip_cospan(cs).k_complex == want
+        res = flip_cospan(cs)
+        assert res.k_complex == want
+        for i in range(lo, hi + 1):
+            ident = Matrix.identity(field, dims[i])
+            nl, nlm = big_l.dim(i), big_l.dim(i) + big_m.dim(i)
+            assert res.gamma2.component(i) == ident.take_rows(range(nl))
+            assert res.gamma1.component(i) == mat_neg(ident.take_rows(range(nl, nlm)))
+            assert res.witness.component(i) == mat_neg(ident.take_rows(range(nlm, dims[i])))
 
 
 def test_flip_acyclicity_chain():
