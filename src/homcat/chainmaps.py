@@ -248,19 +248,24 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
 
         k^i = htpy_B^i phi^i + incl_B^{i-1} proj_B^{i-1} phi^{i-1} htpy_A^i.
 
+    phi is checked with validate_chain_map only when f or g fails it:
+    the difference of two chain maps is a chain map by linearity, and
+    the checks of f and g are cache hits for maps validated before (as
+    parsed maps are), so the usual call validates nothing anew.
+
     Only the validity of the witness is promised, not which one is
     returned.  Raises InvalidComplexError if either complex fails
     d(d(x)) = 0, and RuntimeError if the witness fails check_homotopy.
     """
     _require_parallel(f, g)
     s, t = f.source, f.target
-    degrees = range(min(s.lo, t.lo), max(s.hi, t.hi) + 2)
+    degrees = range(min(s.lo, t.lo), max(s.hi, t.hi) + 1)
     # fetching the cohomology first validates both complexes
     ca = {i: cohomology(s, i) for i in degrees}
     cb = {i: cohomology(t, i) for i in degrees}
     phi = ChainMap.create(s, t, {i: mat_sub(g.component(i), f.component(i)) for i in f.window})
     # D(k) = d k + k d is always a chain map, and it is zero on cohomology
-    if not validate_chain_map(phi).ok:
+    if not (validate_chain_map(f).ok and validate_chain_map(g).ok or validate_chain_map(phi).ok):
         return None
     if any(not _induced_map(phi, i).is_zero() for i in f.window):
         return None

@@ -8,11 +8,16 @@ integer, one fixed-width slot per column, and adds (p - f) times the
 pivot row to a row whose pivot-column slot is f mod p.  Every slot stays
 non-negative and grows by at most (p-1)^2 per pivot, so slots sized for
 p-1 + min(rows, cols)(p-1)^2 never carry into each other, and one big
-integer multiply-add updates a whole row.  Over Q a reduction is
-fraction-free (Bareiss) on the integer form below: every update is one
-exact integer division, the result is the reduced form times the last
-pivot d, and it is returned as that form over d, so no Fraction is
-built.  rank eliminates only below each pivot and builds no result.
+integer multiply-add updates a whole row.  Scaling the pivot row by the
+inverse of its pivot, and the final reduction mod p, read every slot;
+1-byte slots take one bytes.translate of the row's bytes through a
+256-byte table of c x mod p, built once per (p, c).  The tables stay
+few: a byte holds p-1 + (p-1)^2 only for p <= 13, so at most 35 pairs
+(p, c) ever build one.  Over Q a reduction is fraction-free (Bareiss) on
+the integer form below: every update is one exact integer division, the
+result is the reduced form times the last pivot d, and it is returned as
+that form over d, so no Fraction is built.  rank eliminates only below
+each pivot and builds no result.
 
 Every matrix has a canonical integer form (D, ints): entries == ints / D,
 where D = 1 with ints = entries over F_p, and over Q D is the least
@@ -36,10 +41,11 @@ Products multiply integers and reduce once per output entry (delayed
 reduction, as in FFLAS-FFPACK).  Over F_p each row of the right factor
 is packed into one integer with slots wide enough for n(p-1)^2
 (Kronecker substitution), so a row of the product is one sum of n
-integer products, unpacked and then reduced % p.  Over Q the product
-takes one gcd for the whole result.  A Q factor with D = 0 makes the
-product scale each row of the left factor and each column of the right
-factor by its own lcm, and write one Fraction(x, r_i c_j) per entry.
+integer products, then reduced % p (by byte table, as in a reduction,
+when the slots are 1 byte).  Over Q the product takes one gcd for the
+whole result.  A Q factor with D = 0 makes the product scale each row of
+the left factor and each column of the right factor by its own lcm, and
+write one Fraction(x, r_i c_j) per entry.
 """
 
 from __future__ import annotations
@@ -475,13 +481,32 @@ def _pack_rows(flat: Sequence[int], rows: int, cols: int, nb: int) -> list[int]:
     return [int.from_bytes(data[i * step : (i + 1) * step], byteorder) for i in range(rows)]
 
 
-def _unpack_rows(packed: Iterable[int], cols: int, nb: int) -> Sequence[int]:
-    """The slot values of the packed rows, flat and row-major: the inverse of _pack_rows."""
-    data = b"".join(x.to_bytes(cols * nb, byteorder) for x in packed)
+# the byte tables of _times_mod_p by (p, c): byte v maps to c v mod p
+_BYTE_TABLES: dict[tuple[int, int], bytes] = {}
+
+
+def _times_mod_p(packed: Iterable[int], cols: int, nb: int, p: int, c: int = 1) -> Sequence[int]:
+    """c times each slot value of the packed rows (see _pack_rows), mod p,
+    flat and row-major.
+
+    1-byte slots take one bytes.translate through the table of (p, c),
+    and the bytes it returns are also the slots of the reduced rows.  A
+    byte holds a product (p-1)^2 only for p <= 13; only an empty shape
+    gives a larger p such slots, and it takes the unpacking path with
+    every other width, so at most 35 tables are ever built.
+    """
+    data = b"".join([x.to_bytes(cols * nb, byteorder) for x in packed])
+    if nb == 1 and p <= 13:
+        table = _BYTE_TABLES.get((p, c))
+        if table is None:
+            table = _BYTE_TABLES[p, c] = bytes([v * c % p for v in range(256)])
+        return data.translate(table)
     code = _ARRAY_CODE.get(nb)
     if code:
-        return memoryview(data).cast(code)
-    return [int.from_bytes(data[i : i + nb], byteorder) for i in range(0, len(data), nb)]
+        values = memoryview(data).cast(code)
+    else:
+        values = [int.from_bytes(data[i : i + nb], byteorder) for i in range(0, len(data), nb)]
+    return [x % p for x in values] if c == 1 else [c * x % p for x in values]
 
 
 def _dot(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
@@ -508,7 +533,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         packed = _pack_rows(b.entries, n, m, nb)
         av = a.entries
         sums = [sum(map(mul, av[i * n : (i + 1) * n], packed)) for i in range(a.rows)]
-        return _canonical(a.rows, m, tuple([x % p for x in _unpack_rows(sums, m, nb)]), f)
+        return _canonical(a.rows, m, tuple(_times_mod_p(sums, m, nb, p)), f)
     da, ai = a.int_form()
     db, bi = b.int_form()
     if da and db:
@@ -544,11 +569,15 @@ def _rref_prime(m: Matrix) -> RrefResult:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         # the pivot row is 0 mod p left of c: scale the slots from c on
-        # below p and leave the ones left of c at 0
+        # below p and leave the ones left of c at 0; a byte table's result
+        # is already the scaled row's bytes
         tail = rows[r] >> shift
-        inv = pow(tail & mask, -1, p)
-        scaled = [x * inv % p for x in _unpack_rows((tail,), ncols - c, nb)]
-        pivot_row = rows[r] = _pack_rows(scaled, 1, ncols - c, nb)[0] << shift
+        scaled = _times_mod_p((tail,), ncols - c, nb, p, pow(tail & mask, -1, p))
+        if type(scaled) is bytes:
+            tail = int.from_bytes(scaled, byteorder)
+        else:
+            tail = _pack_rows(scaled, 1, ncols - c, nb)[0]
+        pivot_row = rows[r] = tail << shift
         for i in range(nrows):
             if i != r:
                 x = ((rows[i] >> shift) & mask) % p
@@ -557,7 +586,7 @@ def _rref_prime(m: Matrix) -> RrefResult:
                     rows[i] += (p - x) * pivot_row
         pivots.append(c)
         r += 1
-    flat = tuple([x % p for x in _unpack_rows(rows, ncols, nb)])
+    flat = tuple(_times_mod_p(rows, ncols, nb, p))
     return RrefResult(_canonical(nrows, ncols, flat, m.field), tuple(pivots))
 
 

@@ -456,6 +456,27 @@ def test_find_homotopy_none_when_difference_is_not_a_chain_map(field):
     assert checked >= 10
 
 
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_find_homotopy_witnesses_maps_that_share_a_defect(field):
+    # f and g both fail the square check by the same defect, yet g - f =
+    # D(k) is a chain map: the answer rests on g - f, not on f or g
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(60):
+        a = random_complex(rng, field, max_dim=3)
+        b = random_complex(rng, field, max_dim=3)
+        f = corrupt_one_entry(rng, random_chain_map(rng, a, b))
+        if validate_chain_map(f).ok:
+            continue
+        g = perturb_by_homotopy(f, random_homotopy(rng, a, b))
+        assert not validate_chain_map(g).ok
+        k = find_homotopy(f, g)
+        assert k is not None
+        assert check_homotopy(f, g, k)
+        checked += 1
+    assert checked >= 10
+
+
 def test_find_homotopy_at_roadmap_size():
     # dims (22, 24, 23, 23) over F5: about 1,600 homotopy entries
     rng = random.Random(57)

@@ -37,6 +37,7 @@ from homcat import (
     rref,
     transpose,
 )
+from homcat import matrices
 from randgen import F2, F5, Q, random_matrix
 
 F_BIG = FieldSpec.prime(2**31 - 1)
@@ -650,6 +651,44 @@ def test_rref_slot_holds_one_update_per_pivot():
     red, pivots = rref(Matrix.from_rows(F2, rows))
     assert pivots == tuple(range(n))
     assert red == block(F2, [[Matrix.identity(F2, n)], [Matrix.zeros(F2, 1, n)]])
+
+
+# 1-byte slots at their edge: over F_5 a byte holds p-1 + 15 (p-1)^2 = 244
+# for a reduction with min(rows, cols) = 15 and 15 (p-1)^2 = 240 for a
+# product of inner dimension 15, but not 16 of them; over F_13 it holds
+# one (p-1)^2 on top of p-1 (156) but not 2
+@pytest.mark.parametrize("p, k", [(5, 15), (5, 16), (13, 1), (13, 2)])
+def test_one_byte_slots_at_their_edge(p, k):
+    field = FieldSpec.prime(p)
+    rng = random.Random(100 * p + k)
+    full = Matrix(k, k + 2, (p - 1,) * (k * (k + 2)), field)
+    # full rank, so each of the k pivots adds to every other row
+    lower = Matrix.from_rows(field, [[1 if i == j else (p - 1 if j < i else 0) for j in range(k)]
+                                     for i in range(k)])
+    upper = Matrix.from_rows(field, [[p - 1 if j >= i else 0 for j in range(k + 2)] for i in range(k)])
+    for m in (full, naive_matmul(lower, upper), random_matrix(rng, field, k + 3, k)):
+        _assert_rref_matches(m)
+        _assert_rref_matches(transpose(m))
+    for a, b in [(full, transpose(full)), (transpose(full), Matrix(k, 3, (p - 1,) * (3 * k), field)),
+                 (random_matrix(rng, field, 4, k), random_matrix(rng, field, k, 5))]:
+        assert mat_mul(a, b).entries == naive_matmul(a, b).entries
+    assert all(q <= 13 for q, _ in getattr(matrices, "_BYTE_TABLES", {}))
+
+
+def test_empty_shapes_keep_large_primes_off_the_byte_tables():
+    # an empty inner dimension or side gives 1-byte slots at any p; the
+    # kernels' byte tables (if any) still serve only p <= 13
+    for p in _PACKED_PRIMES + [5, 13]:
+        field = FieldSpec.prime(p)
+        assert mat_mul(Matrix.zeros(field, 3, 0), Matrix.zeros(field, 0, 4)) == Matrix.zeros(field, 3, 4)
+        for shape in [(0, 3), (3, 0)]:
+            _assert_rref_matches(Matrix.zeros(field, *shape))
+        m = Matrix.from_rows(field, [[p - 1, 1], [1, p - 1]])
+        _assert_rref_matches(m)
+        assert mat_mul(m, m) == naive_matmul(m, m)
+    tables = getattr(matrices, "_BYTE_TABLES", {})
+    assert all(q <= 13 for q, _ in tables)
+    assert len(tables) <= 35
 
 
 def test_prime_entries_stay_a_plain_slot():
