@@ -36,7 +36,7 @@ import weakref
 from functools import lru_cache
 from typing import ClassVar, Mapping, Optional
 
-from .complexes import CACHE_SIZE, CochainComplex, cohomology, shift
+from .complexes import CACHE_SIZE, CochainComplex, _filled, cohomology, shift
 from .errors import FieldMismatchError, InvalidChainMapError, ShapeMismatchError
 from .fields import _Frozen
 from .matrices import Matrix, mat_add, mat_mul, mat_neg, mat_sub, rank
@@ -99,26 +99,9 @@ class _GradedMap(_Frozen):
     ):
         """Zero-fill the omitted window degrees and check every component's
         field and shape; returns the live value with equal data if there is one."""
-        components = dict(components or {})
-        r, noun = cls.degree, cls._noun
-        mats = []
-        for i in cls._window(source, target):
-            rows, cols = target.dim(i + r), source.dim(i)
-            m = components.pop(i, None)
-            if m is None:
-                m = Matrix.zeros(source.field, rows, cols)
-            if m.field != source.field:
-                raise FieldMismatchError(f"{noun} at degree {i} over {m.field}")
-            if (m.rows, m.cols) != (rows, cols):
-                raise ShapeMismatchError(
-                    f"{noun} at degree {i} has shape {m.rows}x{m.cols}, needs {rows}x{cols}"
-                )
-            mats.append(m)
-        for i, m in components.items():
-            if (m.rows, m.cols) != (target.dim(i + r), source.dim(i)):
-                raise ShapeMismatchError(f"{noun} at degree {i} does not fit")
+        mats = _filled(source.field, cls._window(source, target),
+                       lambda i: (target.dim(i + cls.degree), source.dim(i)), components or {}, cls._noun)
         # the class is part of the key, so a map never becomes a homotopy
-        mats = tuple(mats)
         key = (cls, source, target, mats)
         g = _INTERNED.get(key)
         if g is None:

@@ -65,8 +65,14 @@ class CommandResult(_Frozen):
         self._store(output=output, exit_code=exit_code)
 
 
-def _report(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _report(payload, verdict: bool = True) -> CommandResult:
+    """A JSON report, exit 0 for a true verdict and 1 for a false one."""
+    return CommandResult(json.dumps(payload, indent=2) + "\n", 0 if verdict else 1)
+
+
+def _fragment(session: SessionFile, **tables) -> CommandResult:
+    """A session fragment over the session's field, emitted whole; exit 0."""
+    return CommandResult(emit_session(SessionFile(session.field, **tables)), 0)
 
 
 def _need(args: Sequence[str], count: int, command: str, shape: str) -> None:
@@ -89,7 +95,7 @@ def _fresh(name: str, taken) -> str:
 
 def _cmd_validate(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 0, "validate", "")
-    return CommandResult(_report({"command": "validate", "ok": True}), 0)
+    return _report({"command": "validate", "ok": True})
 
 
 def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -105,9 +111,7 @@ def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
                 space.incl, f"object {quote(name)} representatives at degree {i}"
             )
         table[str(i)] = entry
-    return CommandResult(
-        _report({"command": "cohomology", "object": name, "cohomology": table}), 0
-    )
+    return _report({"command": "cohomology", "object": name, "cohomology": table})
 
 
 def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -117,8 +121,7 @@ def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
         n = int(args[1])
     except ValueError:
         raise UsageError(f"shift amount must be an integer, got {quote(args[1])}") from None
-    fragment = SessionFile(session.field, objects={"shifted": shift(c, n)})
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects={"shifted": shift(c, n)})
 
 
 def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -136,18 +139,14 @@ def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
     maps[incl_name] = MapEntry(entry.target, cone_name, mc.incl)
     proj_name = _fresh("proj", maps)
     maps[proj_name] = MapEntry(cone_name, shift_name, mc.proj)
-    fragment = SessionFile(session.field, objects=objects, maps=maps)
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects=objects, maps=maps)
 
 
 def _cmd_les(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "les", "MAP")
     entry = _get(session.maps, "map", args[0])
     exact = check_les_exact(cone_triangle(entry.value))
-    return CommandResult(
-        _report({"command": "les", "map": args[0], "exact": exact}),
-        0 if exact else 1,
-    )
+    return _report({"command": "les", "map": args[0], "exact": exact}, exact)
 
 
 def _cmd_homotopic(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -156,27 +155,17 @@ def _cmd_homotopic(session: SessionFile, args: Sequence[str]) -> CommandResult:
     e2 = _get(session.maps, "map", args[1])
     witness = find_homotopy(e1.value, e2.value)
     if witness is None:
-        return CommandResult(
-            _report({"command": "homotopic", "maps": [args[0], args[1]], "result": "none"}),
-            1,
-        )
+        return _report({"command": "homotopic", "maps": [args[0], args[1]], "result": "none"}, False)
     objects = {e1.source: e1.value.source, e1.target: e1.value.target}
-    fragment = SessionFile(
-        session.field,
-        objects=objects,
-        homotopies={"witness": HomotopyEntry(e1.source, e1.target, witness)},
-    )
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects=objects,
+                     homotopies={"witness": HomotopyEntry(e1.source, e1.target, witness)})
 
 
 def _cmd_qis(session: SessionFile, args: Sequence[str]) -> CommandResult:
     _need(args, 1, "qis", "MAP")
     entry = _get(session.maps, "map", args[0])
     verdict = is_quasi_iso(entry.value)
-    return CommandResult(
-        _report({"command": "qis", "map": args[0], "result": verdict}),
-        0 if verdict else 1,
-    )
+    return _report({"command": "qis", "map": args[0], "result": verdict}, verdict)
 
 
 def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -195,13 +184,8 @@ def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
         "gamma2": MapEntry(k_name, alpha.source, flip.gamma2),
         "gamma1": MapEntry(k_name, beta.source, flip.gamma1),
     }
-    fragment = SessionFile(
-        session.field,
-        objects=objects,
-        maps=maps,
-        homotopies={"h": HomotopyEntry(k_name, alpha.target, flip.witness)},
-    )
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects=objects, maps=maps,
+                     homotopies={"h": HomotopyEntry(k_name, alpha.target, flip.witness)})
 
 
 def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -221,13 +205,8 @@ def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
         "denom": MapEntry(apex_name, left_name, composite.denom),
         "numer": MapEntry(apex_name, right_name, composite.numer),
     }
-    fragment = SessionFile(
-        session.field,
-        objects=objects,
-        maps=maps,
-        roofs={"composite": RoofEntry("denom", "numer", composite)},
-    )
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects=objects, maps=maps,
+                     roofs={"composite": RoofEntry("denom", "numer", composite)})
 
 
 def _cmd_roof_equiv(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -245,10 +224,7 @@ def _cmd_roof_equiv(session: SessionFile, args: Sequence[str]) -> CommandResult:
         down=_get(session.maps, "map", args[7]).value,
     )
     verdict = verify_roof_equivalence(r1.value, r2.value, witness)
-    return CommandResult(
-        _report({"command": "roof-equiv", "roofs": [args[0], args[1]], "result": verdict}),
-        0 if verdict else 1,
-    )
+    return _report({"command": "roof-equiv", "roofs": [args[0], args[1]], "result": verdict}, verdict)
 
 
 def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
@@ -260,13 +236,7 @@ def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
         "denom": MapEntry(entry.source, entry.source, roof.denom),
         "numer": MapEntry(entry.source, entry.target, roof.numer),
     }
-    fragment = SessionFile(
-        session.field,
-        objects=objects,
-        maps=maps,
-        roofs={"lifted": RoofEntry("denom", "numer", roof)},
-    )
-    return CommandResult(emit_session(fragment), 0)
+    return _fragment(session, objects=objects, maps=maps, roofs={"lifted": RoofEntry("denom", "numer", roof)})
 
 
 _COMMANDS: dict[str, Callable[[SessionFile, Sequence[str]], CommandResult]] = {
@@ -337,8 +307,9 @@ def _dispatch(args: list[str]) -> tuple[int, str]:
         return 2, ""
     try:
         text = Path(args[1]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+    except (OSError, UnicodeDecodeError, MemoryError) as e:
+        # a MemoryError is a file larger than the memory the process may take
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else str(e) or "out of memory"
         _warn(f"cannot read session file {quote(args[1])}: {reason}\n")
         return 2, ""
     try:

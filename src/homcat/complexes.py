@@ -115,7 +115,7 @@ class CochainComplex(_Frozen):
         omitted differentials are zero matrices of the forced shape.
         Returns the live complex with equal data if there is one.
         """
-        diff = dict(diff or {})
+        diff = diff or {}
         degrees = set(dims)
         for i in diff:
             degrees.add(i)
@@ -132,28 +132,11 @@ class CochainComplex(_Frozen):
             if n < 0:
                 raise ShapeMismatchError(f"negative dimension {n} in degree {i}")
         dim_tuple = tuple(dims.get(i, 0) for i in range(lo, hi + 1))
-        mats = []
-        for i in range(lo, hi):
-            want_rows = dim_tuple[i + 1 - lo]
-            want_cols = dim_tuple[i - lo]
-            d = diff.pop(i, None)
-            if d is None:
-                d = Matrix.zeros(field, want_rows, want_cols)
-            if d.field != field:
-                raise FieldMismatchError(f"differential at degree {i} is over {d.field}, complex over {field}")
-            if (d.rows, d.cols) != (want_rows, want_cols):
-                raise ShapeMismatchError(
-                    f"differential at degree {i} has shape {d.rows}x{d.cols}, "
-                    f"needs {want_rows}x{want_cols}"
-                )
-            mats.append(d)
-        for i, d in diff.items():
-            # leftovers may only be differentials with no entries to carry
-            rows = dim_tuple[i + 1 - lo] if lo <= i + 1 <= hi else 0
-            cols = dim_tuple[i - lo] if lo <= i <= hi else 0
-            if (d.rows, d.cols) != (rows, cols) or d.rows * d.cols != 0:
-                raise ShapeMismatchError(f"differential at degree {i} does not fit the window")
-        key = (field, lo, hi, dim_tuple, tuple(mats))
+        # off [lo, hi) one side of the forced shape is 0, so a leftover
+        # that fits carries no entries
+        mats = _filled(field, range(lo, hi), lambda i: (dims.get(i + 1, 0), dims.get(i, 0)),
+                       diff, "differential")
+        key = (field, lo, hi, dim_tuple, mats)
         c = _INTERNED.get(key)
         if c is None:
             c = _INTERNED[key] = cls(*key)
@@ -180,6 +163,33 @@ class CochainComplex(_Frozen):
     def __repr__(self) -> str:
         spans = ", ".join(f"{i}:{self.dim(i)}" for i in self.degrees())
         return f"CochainComplex([{spans}] over {self.field})"
+
+
+def _filled(
+    field: FieldSpec,
+    window: range,
+    shape: Callable[[int], tuple[int, int]],
+    given: Mapping[int, Matrix],
+    noun: str,
+) -> tuple[Matrix, ...]:
+    """The matrices ``given`` per degree of ``window``, each omitted one
+    the zero matrix of shape(i).  Each must be over ``field`` and of
+    shape(i); one given outside the window must still be of shape(i)."""
+    mats = []
+    for i in window:
+        rows, cols = shape(i)
+        m = given.get(i)
+        if m is None:
+            m = Matrix.zeros(field, rows, cols)
+        if m.field != field:
+            raise FieldMismatchError(f"{noun} at degree {i} over {m.field}")
+        if (m.rows, m.cols) != (rows, cols):
+            raise ShapeMismatchError(f"{noun} at degree {i} has shape {m.rows}x{m.cols}, needs {rows}x{cols}")
+        mats.append(m)
+    for i, m in given.items():
+        if i not in window and (m.rows, m.cols) != shape(i):
+            raise ShapeMismatchError(f"{noun} at degree {i} does not fit")
+    return tuple(mats)
 
 
 # every live complex built by create, by its data; the key holds the

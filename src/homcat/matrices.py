@@ -16,8 +16,8 @@ few: a byte holds p-1 + (p-1)^2 only for p <= 13, so at most 35 pairs
 (p, c) ever build one.  Over Q a reduction is fraction-free (Bareiss) on
 the integer form below: every update is one exact integer division, the
 result is the reduced form times the last pivot d, and it is returned as
-that form over d, so no Fraction is built.  rank eliminates only below
-each pivot and builds no result.
+that form over d, so no Fraction is built.  rank counts the pivots of
+rref and is memoised on the matrix, so a cached matrix is ranked once.
 
 Every matrix has a canonical integer form (D, ints): entries == ints / D,
 where D = 1 with ints = entries over F_p, and over Q D is the least
@@ -31,11 +31,12 @@ once it is built, so a cache keyed by a matrix pays for the hash once.
 Over Q the form is the matrix.  Sums, differences, negation, scaling,
 products, transposes, blocks, row and column selections, zeros and
 identities compute their result's form from their inputs' forms on
-integers alone, reduced by one gcd of D with all the integers; so do
-rref and kernel_basis.  Such a result builds its Fraction entries only
-when they are read: by indexing, rows and emission.  Only an input with
-D = 0, or a result whose reduced D passes the bound, works on Fraction
-entries.
+integers alone; so do rref and kernel_basis.  One finisher, _from_ints,
+turns such integers over D into the result on both fields: over F_p
+(D = 1) it reduces each mod p, over Q it reduces (D, ints) by one gcd
+and the result builds its Fraction entries only when they are read: by
+indexing, rows and emission.  Only an input with D = 0, or a result
+whose reduced D passes the bound, works on Fraction entries.
 
 Products multiply integers and reduce once per output entry (delayed
 reduction, as in FFLAS-FFPACK).  Over F_p each row of the right factor
@@ -53,7 +54,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from sys import byteorder
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -93,8 +94,9 @@ class Matrix(_Frozen):
 
     # _form and _hash cache the integer form and the hash, filled on first
     # use; the hash covers ints only (never the FieldSpec, whose str hash is
-    # salted per process), so a pickled cached hash stays valid
-    __slots__ = ("rows", "cols", "entries", "field", "_form", "_hash")
+    # salted per process), so a pickled cached hash stays valid.  _rank is
+    # rank's memo, left unset by _canonical until rank fills it
+    __slots__ = ("rows", "cols", "entries", "field", "_form", "_hash", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: tuple, field: FieldSpec) -> None:
         if rows < 0 or cols < 0:
@@ -110,7 +112,7 @@ class Matrix(_Frozen):
             for x in entries:
                 if type(x) is not Fraction:
                     raise ValueError(f"entry {quote(x)} is not a Fraction")
-        self._store(rows=rows, cols=cols, entries=entries, field=field, _form=None, _hash=None)
+        self._store(rows=rows, cols=cols, entries=entries, field=field, _form=None, _hash=None, _rank=None)
 
     def __reduce__(self):
         # the frozen __setattr__ would refuse pickle's default restore of
@@ -181,10 +183,9 @@ class Matrix(_Frozen):
         """The canonical (D, ints): entries == ints / D, or D = 0; see the module docstring."""
         form = self._form
         if form is None:
-            if self.field.kind == "prime":
-                form = (1, self.entries)
-            else:
-                form = _rational_form(self.entries)
+            if self.field.p is not None:
+                return (1, self.entries)  # cheaper to build than to store
+            form = _rational_form(self.entries)
             object.__setattr__(self, "_form", form)
         return form
 
@@ -228,21 +229,27 @@ def _rational_form(entries: tuple) -> tuple[int, tuple]:
     return (den, tuple(x.numerator * (den // x.denominator) for x in entries))
 
 
-def _rational(rows: int, cols: int, den: int, ints: Sequence[int], field: FieldSpec) -> Matrix:
-    """The Q matrix ints / den (den > 0), held as its canonical form.
+def _from_ints(field: FieldSpec, rows: int, cols: int, den: int, ints: Iterable[int]) -> Matrix:
+    """The matrix ints / den (den > 0) of an arithmetic result.
 
-    One gcd reduces (den, ints); its entries are built on first read.  A
-    reduced den past _DENOMINATOR_BITS gets Fraction entries instead, and
-    so the D = 0 form, as any such matrix does.
+    Over F_p den is 1 and each integer is reduced mod p.  Over Q one gcd
+    reduces (den, ints) and the result is held as its canonical form, its
+    entries built on first read; a reduced den past _DENOMINATOR_BITS
+    gets Fraction entries instead, and so the D = 0 form, as any such
+    matrix does.
     """
+    p = field.p
+    if p is not None:
+        return _canonical(rows, cols, tuple([x % p for x in ints]), field)
+    ints = tuple(ints)
     if den != 1:
         g = gcd(den, *ints)
         if g != 1:
             den //= g
-            ints = [x // g for x in ints]
+            ints = tuple([x // g for x in ints])
         if den.bit_length() > _DENOMINATOR_BITS:
             return _canonical(rows, cols, tuple(Fraction(x, den) for x in ints), field)
-    return _canonical(rows, cols, None, field, (den, tuple(ints)))
+    return _canonical(rows, cols, None, field, (den, ints))
 
 
 def _canonical(rows: int, cols: int, entries: Optional[tuple], field: FieldSpec, form=None) -> Matrix:
@@ -268,11 +275,12 @@ def _unpickled(rows: int, cols: int, entries: tuple, field: FieldSpec, form, h) 
 
 
 def _integral(field: FieldSpec, rows: int, cols: int, flat: tuple) -> Matrix:
-    """The matrix of the canonical integers ``flat``, lazily over Q."""
+    """The matrix of the canonical integers ``flat``, lazily over Q; over
+    F_p nothing is reduced, unlike _from_ints."""
     if rows < 0 or cols < 0:
         raise ShapeMismatchError(f"negative shape {rows}x{cols}")
     if field.kind == "rational":
-        return _rational(rows, cols, 1, flat, field)
+        return _from_ints(field, rows, cols, 1, flat)
     return _canonical(rows, cols, flat, field)
 
 
@@ -293,7 +301,7 @@ def _relaid(a: Matrix, rows: int, cols: int, index: list[int]) -> Matrix:
     if a.field.kind == "rational":
         den, ints = a.int_form()
         if den:
-            return _rational(rows, cols, den, tuple(map(ints.__getitem__, index)), a.field)
+            return _from_ints(a.field, rows, cols, den, map(ints.__getitem__, index))
     return _canonical(rows, cols, tuple(map(a.entries.__getitem__, index)), a.field)
 
 
@@ -314,7 +322,6 @@ class RrefResult(NamedTuple):
         """
         red, pivots = self
         f = red.field
-        p = f.p
         free = self.free_columns()
         n, cols = len(free), red.cols
         # the basis times D, read off the integers of red's form; a Q
@@ -326,10 +333,8 @@ class RrefResult(NamedTuple):
             flat[j * n + t] = den or 1
             for r, pc in enumerate(pivots):
                 flat[pc * n + t] = -values[r * cols + j]
-        if p is not None:
-            return _canonical(cols, n, tuple([x % p for x in flat]), f)
         if den:
-            return _rational(cols, n, den, flat, f)
+            return _from_ints(f, cols, n, den, flat)
         return _canonical(cols, n, tuple(map(Fraction, flat)), f)
 
 
@@ -346,9 +351,6 @@ def _entrywise(op: Callable, a: Matrix, b: Matrix, what: str) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatchError(f"{what} {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     f = a.field
-    p = f.p
-    if p is not None:
-        return _canonical(a.rows, a.cols, tuple(x % p for x in map(op, a.entries, b.entries)), f)
     da, ai = a.int_form()
     db, bi = b.int_form()
     if not (da and db):
@@ -358,7 +360,7 @@ def _entrywise(op: Callable, a: Matrix, b: Matrix, what: str) -> Matrix:
         ai = [x * (den // da) for x in ai]
     if den != db:
         bi = [x * (den // db) for x in bi]
-    return _rational(a.rows, a.cols, den, tuple(map(op, ai, bi)), f)
+    return _from_ints(f, a.rows, a.cols, den, map(op, ai, bi))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -370,26 +372,19 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    f = a.field
-    p = f.p
-    if p is not None:
-        return _canonical(a.rows, a.cols, tuple(-x % p for x in a.entries), f)
     den, ints = a.int_form()
     if den:
-        return _rational(a.rows, a.cols, den, tuple(-x for x in ints), f)
-    return _canonical(a.rows, a.cols, tuple(-x for x in a.entries), f)
+        return _from_ints(a.field, a.rows, a.cols, den, map(neg, ints))
+    return _canonical(a.rows, a.cols, tuple(map(neg, a.entries)), a.field)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
     f = a.field
-    p = f.p
-    c = f.coerce(c)
-    if p is not None:
-        return _canonical(a.rows, a.cols, tuple(c * x % p for x in a.entries), f)
+    c = f.coerce(c)  # an int over F_p: its denominator is 1
     den, ints = a.int_form()
     if den:
-        return _rational(a.rows, a.cols, den * c.denominator, tuple(c.numerator * x for x in ints), f)
-    return _canonical(a.rows, a.cols, tuple(c * x for x in a.entries), f)
+        return _from_ints(f, a.rows, a.cols, den * c.denominator, [c.numerator * x for x in ints])
+    return _canonical(a.rows, a.cols, tuple([c * x for x in a.entries]), f)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -437,7 +432,7 @@ def block(field: FieldSpec, grid: Sequence[Sequence[Optional[Matrix]]]) -> Matri
             values = [[None if form is None else form[1] if form[0] == den
                        else [x * (den // form[0]) for x in form[1]] for form in row]
                       for row in forms]
-            return _rational(*shape, den, _assemble(values, heights, widths, 0), field)
+            return _from_ints(field, *shape, den, _assemble(values, heights, widths, 0))
         zero = Fraction(0)
     values = [[None if m is None else m.entries for m in row] for row in grid]
     return _canonical(*shape, _assemble(values, heights, widths, zero), field)
@@ -538,7 +533,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     db, bi = b.int_form()
     if da and db:
         sums = _dot([ai[i * n : (i + 1) * n] for i in range(a.rows)], [bi[j::m] for j in range(m)])
-        return _rational(a.rows, m, da * db, sums, f)
+        return _from_ints(f, a.rows, m, da * db, sums)
     # no small common denominator: scale by the lcm of each row of a and
     # of each column of b instead, so no sum grows past its own terms
     rows, row_lcms = _over_own_lcm([a.row(i) for i in range(a.rows)])
@@ -590,19 +585,17 @@ def _rref_prime(m: Matrix) -> RrefResult:
     return RrefResult(_canonical(nrows, ncols, flat, m.field), tuple(pivots))
 
 
-def _eliminate_rational(m: Matrix, back: bool) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) elimination of m's integer rows over Q.
+def _rref_rational(m: Matrix) -> RrefResult:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of m's integer rows.
 
     The rows are the form's integers, or for D = 0 each row over its own
-    lcm: scaling a row changes neither the reduced form nor the rank.  At
-    each pivot pv every row r other than the pivot row y (every row when
-    ``back``, else only the rows below) becomes (pv r - r[c] y) // prev,
-    prev being the previous pivot, and the division is exact (every entry
-    is a minor of the rows), also for rows with r[c] = 0, which must be
-    updated for that reason.  Pivoting is leftmost column, first nonzero
-    row, as over F_p.  Returns the rows, the pivot columns and the last
-    pivot d; with ``back`` every pivot entry ends as d, so the rows are d
-    times the reduced form.
+    lcm: scaling a row changes neither the reduced form nor the pivots.
+    At each pivot pv every row r other than the pivot row y becomes
+    (pv r - r[c] y) // prev, prev being the previous pivot, and the
+    division is exact (every entry is a minor of the rows), also for rows
+    with r[c] = 0, which must be updated for that reason.  Pivoting is
+    leftmost column, first nonzero row, as over F_p.  Every pivot entry
+    ends as the last pivot d, so the rows are d times the reduced form.
     """
     nrows, ncols = m.rows, m.cols
     den, ints = m.int_form()
@@ -622,7 +615,7 @@ def _eliminate_rational(m: Matrix, back: bool) -> tuple[list[list[int]], list[in
         rows[r], rows[sel] = rows[sel], rows[r]
         y = rows[r]
         pv = y[c]
-        for i in range(0 if back else r + 1, nrows):
+        for i in range(nrows):
             if i != r:
                 x = rows[i]
                 f = x[c]
@@ -630,16 +623,10 @@ def _eliminate_rational(m: Matrix, back: bool) -> tuple[list[list[int]], list[in
         prev = pv
         pivots.append(c)
         r += 1
-    return rows, pivots, prev
-
-
-def _rref_rational(m: Matrix) -> RrefResult:
-    rows, pivots, d = _eliminate_rational(m, back=True)
-    if d < 0:
-        d = -d
-        rows = [[-x for x in row] for row in rows]
     flat = [x for row in rows for x in row]
-    return RrefResult(_rational(m.rows, m.cols, d, flat, m.field), tuple(pivots))
+    if prev < 0:
+        prev, flat = -prev, [-x for x in flat]
+    return RrefResult(_from_ints(m.field, nrows, ncols, prev, flat), tuple(pivots))
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -650,9 +637,13 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    if m.field.kind == "prime":
-        return len(rref(m).pivots)
-    return len(_eliminate_rational(m, back=False)[1])
+    """The number of pivots of rref(m), memoised on m: a matrix that is
+    read again, as a cached H^i(f) is, is reduced once."""
+    r = getattr(m, "_rank", None)
+    if r is None:
+        r = len(rref(m).pivots)
+        object.__setattr__(m, "_rank", r)
+    return r
 
 
 def kernel_basis(m: Matrix) -> Matrix:

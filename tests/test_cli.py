@@ -584,14 +584,17 @@ def _large_session(n=20):
     }
 
 
-def _homcat_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, closed_fd=None):
+def _homcat_process(
+    *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, closed_fd=None, preexec=None
+):
     """Run ``python -m homcat.cli ARGV``; with ``closed_fd`` the child starts
-    with that descriptor closed, so its sys.stdout or sys.stderr is None."""
+    with that descriptor closed, so its sys.stdout or sys.stderr is None,
+    and ``preexec`` runs in the child before it starts."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    preexec = None if closed_fd is None else (lambda: os.close(closed_fd))
+    preexec = preexec if closed_fd is None else (lambda: os.close(closed_fd))
     return subprocess.run(
         [sys.executable, "-m", "homcat.cli", *argv],
         env=env,
@@ -685,6 +688,21 @@ def test_a_closed_or_full_stderr_keeps_the_exit_code_and_the_output(capsys, tmp_
             proc = _homcat_process(*args, stderr=full)
     # a traceback would have ended the process with exit 1
     assert (proc.returncode, proc.stdout, proc.stderr or b"") == (code, out.encode(), b"")
+
+
+def test_a_session_file_too_large_to_read_exits_2_with_one_line(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2**20
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(limit + 2**20)  # sparse: larger than the child may map, yet no disk blocks
+    proc = _homcat_process(
+        "validate", str(path), preexec=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith(f"cannot read session file {cli.quote(str(path))}: ") and err.count("\n") == 1, err
+    assert proc.stdout == b""
 
 
 def test_importing_homcat_loads_no_dataclasses():

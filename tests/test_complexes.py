@@ -96,6 +96,15 @@ def test_create_rejects_bad_shapes():
         )
 
 
+def test_differentials_outside_the_window_must_carry_no_entries():
+    # off the window [0, 0] a differential fits only with a side of 0
+    off = {-1: Matrix.zeros(F5, 1, 0), 3: Matrix.zeros(F5, 0, 0)}
+    c = CochainComplex.create(F5, {0: 1}, off, lo=0, hi=0)
+    assert c is CochainComplex.create(F5, {0: 1}, lo=0, hi=0)
+    with pytest.raises(ShapeMismatchError, match="differential at degree -1 does not fit"):
+        CochainComplex.create(F5, {0: 1}, {-1: Matrix.zeros(F5, 1, 1)}, lo=0, hi=0)
+
+
 def test_window_from_declared_degrees():
     c = CochainComplex.create(F5, dims={-2: 1, 3: 2})
     assert (c.lo, c.hi) == (-2, 3)

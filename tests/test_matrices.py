@@ -9,6 +9,7 @@ entries tuples for equality and hashing.
 
 import inspect
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from homcat import (
     ShapeMismatchError,
     block,
     block_diag,
+    check_les_exact,
+    cone_triangle,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -37,8 +40,8 @@ from homcat import (
     rref,
     transpose,
 )
-from homcat import matrices
-from randgen import F2, F5, Q, random_matrix
+from homcat import complexes, matrices
+from randgen import F2, F5, Q, random_chain_map, random_complex, random_matrix
 
 F_BIG = FieldSpec.prime(2**31 - 1)
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -613,6 +616,43 @@ def test_rational_rref_is_bit_identical_to_scalar_gauss_jordan(m):
     assert kernel.entries == want_kernel.entries
     assert all(type(x) is Fraction for x in kernel.entries)
     assert rank(m) == len(pivots)
+
+
+def _counting_rref(monkeypatch, *modules):
+    """Count the calls of rref made through ``modules``."""
+    calls = []
+    real = matrices.rref
+    for module in modules:
+        monkeypatch.setattr(module, "rref", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+@pytest.mark.parametrize("field, d0", [(F5, False), (Q, False), (Q, True), (F_BIG, False)],
+                         ids=["F5", "Q", "Q-D=0", "F_2^31-1"])
+def test_rank_is_memoised_on_the_matrix(monkeypatch, field, d0):
+    # a 3 x 4 matrix of rank 2: its last row is the sum of the others
+    top = [[Fraction(1, 2), 1, 0, 3], [0, Fraction(2, 3), 1, 1]] if field is Q else [[1, 2, 0, 3], [0, 1, 1, 4]]
+    if d0:
+        top[0][0] += Fraction(1, 2**61 - 1)
+        top[1][3] += Fraction(-1, 2**89 - 1)
+    m = Matrix.from_rows(field, top + [[x + y for x, y in zip(*top)]])
+    assert (m.int_form()[0] == 0) == d0
+    calls = _counting_rref(monkeypatch, matrices)
+    # built through __init__, the memo slot starts as None instead of unset
+    fresh = Matrix(m.rows, m.cols, m.entries, field)
+    assert rank(m) == rank(m) == rank(fresh) == rank(fresh) == len(naive_rref(m)[1]) == 2
+    assert calls == [m, fresh]
+    copy = pickle.loads(pickle.dumps(m))
+    assert rank(copy) == len(naive_rref(copy)[1]) == 2
+
+
+def test_les_check_ranks_a_cached_induced_map_once(monkeypatch):
+    rng = random.Random(12)  # four of its induced maps have nonzero rank
+    f = random_chain_map(rng, random_complex(rng, F5), random_complex(rng, F5))
+    assert check_les_exact(cone_triangle(f))
+    calls = _counting_rref(monkeypatch, matrices, complexes)
+    assert check_les_exact(cone_triangle(f))
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
