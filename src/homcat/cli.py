@@ -1,6 +1,8 @@
 """Command line surface: one session file in, one command, one report out.
 
-Usage: ``homcat COMMAND SESSION-FILE [ARGS...]``.  Verdict commands print
+Usage: ``homcat COMMAND SESSION-FILE [ARGS...]``.  Every command is one
+row of ``_COMMANDS``: its handler and its argument shape, from which
+``run_command`` checks and resolves the arguments.  Verdict commands print
 a small JSON report; constructive commands print a complete session
 fragment that parses on its own, so outputs can be piped into files and
 fed straight back in.  Exit codes: 0 for success or a true verdict, 1
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from .chainmaps import find_homotopy, is_quasi_iso
-from .complexes import cohomology, shift
+from .complexes import CochainComplex, cohomology, shift
 from .cones import check_les_exact, cone_triangle, mapping_cone
 from .errors import HomcatError, UnknownReferenceError, UsageError, quote
 from .fields import _Frozen
@@ -75,66 +77,45 @@ def _fragment(session: SessionFile, **tables) -> CommandResult:
     return CommandResult(emit_session(SessionFile(session.field, **tables)), 0)
 
 
-def _need(args: Sequence[str], count: int, command: str, shape: str) -> None:
-    if len(args) != count:
-        raise UsageError(f"usage: homcat {command} SESSION-FILE {shape}".rstrip())
-
-
-def _get(table, kind: str, name: str):
-    """The entry ``name`` of a session table of ``kind`` (object, map, roof)."""
-    if name not in table:
-        raise UnknownReferenceError(f"unknown {kind} {quote(name)}")
-    return table[name]
-
-
 def _fresh(name: str, taken) -> str:
     while name in taken:
         name = name + "_"
     return name
 
 
-def _cmd_validate(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 0, "validate", "")
+def _cmd_validate(session: SessionFile, names: list[str]) -> CommandResult:
     return _report({"command": "validate", "ok": True})
 
 
-def _cmd_cohomology(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 1, "cohomology", "OBJECT")
-    name = args[0]
-    c = _get(session.objects, "object", name)
+def _cmd_cohomology(session: SessionFile, names: list[str], c: CochainComplex) -> CommandResult:
     table = {}
     for i in c.degrees():
         space = cohomology(c, i)
         entry = {"dim": space.dim}
         if space.dim > 0:
             entry["representatives"] = matrix_payload(
-                space.incl, f"object {quote(name)} representatives at degree {i}"
+                space.incl, f"object {quote(names[0])} representatives at degree {i}"
             )
         table[str(i)] = entry
-    return _report({"command": "cohomology", "object": name, "cohomology": table})
+    return _report({"command": "cohomology", "object": names[0], "cohomology": table})
 
 
-def _cmd_shift(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 2, "shift", "OBJECT N")
-    c = _get(session.objects, "object", args[0])
+def _cmd_shift(session: SessionFile, names: list[str], c: CochainComplex, amount: str) -> CommandResult:
     try:
-        n = int(args[1])
+        n = int(amount)
     except ValueError:
-        raise UsageError(f"shift amount must be an integer, got {quote(args[1])}") from None
+        raise UsageError(f"shift amount must be an integer, got {quote(amount)}") from None
     return _fragment(session, objects={"shifted": shift(c, n)})
 
 
-def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 1, "cone", "MAP")
-    name = args[0]
-    entry = _get(session.maps, "map", name)
+def _cmd_cone(session: SessionFile, names: list[str], entry: MapEntry) -> CommandResult:
     mc = mapping_cone(entry.value)
     objects = {entry.source: entry.value.source, entry.target: entry.value.target}
     cone_name = _fresh("cone", objects)
     objects[cone_name] = mc.cone
     shift_name = _fresh("source_shift", objects)
     objects[shift_name] = mc.proj.target
-    maps = {name: entry}
+    maps = {names[0]: entry}
     incl_name = _fresh("incl", maps)
     maps[incl_name] = MapEntry(entry.target, cone_name, mc.incl)
     proj_name = _fresh("proj", maps)
@@ -142,36 +123,26 @@ def _cmd_cone(session: SessionFile, args: Sequence[str]) -> CommandResult:
     return _fragment(session, objects=objects, maps=maps)
 
 
-def _cmd_les(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 1, "les", "MAP")
-    entry = _get(session.maps, "map", args[0])
+def _cmd_les(session: SessionFile, names: list[str], entry: MapEntry) -> CommandResult:
     exact = check_les_exact(cone_triangle(entry.value))
-    return _report({"command": "les", "map": args[0], "exact": exact}, exact)
+    return _report({"command": "les", "map": names[0], "exact": exact}, exact)
 
 
-def _cmd_homotopic(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 2, "homotopic", "MAP MAP")
-    e1 = _get(session.maps, "map", args[0])
-    e2 = _get(session.maps, "map", args[1])
+def _cmd_homotopic(session: SessionFile, names: list[str], e1: MapEntry, e2: MapEntry) -> CommandResult:
     witness = find_homotopy(e1.value, e2.value)
     if witness is None:
-        return _report({"command": "homotopic", "maps": [args[0], args[1]], "result": "none"}, False)
+        return _report({"command": "homotopic", "maps": names, "result": "none"}, False)
     objects = {e1.source: e1.value.source, e1.target: e1.value.target}
     return _fragment(session, objects=objects,
                      homotopies={"witness": HomotopyEntry(e1.source, e1.target, witness)})
 
 
-def _cmd_qis(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 1, "qis", "MAP")
-    entry = _get(session.maps, "map", args[0])
+def _cmd_qis(session: SessionFile, names: list[str], entry: MapEntry) -> CommandResult:
     verdict = is_quasi_iso(entry.value)
-    return _report({"command": "qis", "map": args[0], "result": verdict}, verdict)
+    return _report({"command": "qis", "map": names[0], "result": verdict}, verdict)
 
 
-def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 2, "flip", "ALPHA BETA")
-    alpha = _get(session.maps, "map", args[0])
-    beta = _get(session.maps, "map", args[1])
+def _cmd_flip(session: SessionFile, names: list[str], alpha: MapEntry, beta: MapEntry) -> CommandResult:
     flip = flip_cospan(Cospan(alpha=alpha.value, beta=beta.value))
     objects = {
         alpha.source: alpha.value.source,
@@ -188,10 +159,7 @@ def _cmd_flip(session: SessionFile, args: Sequence[str]) -> CommandResult:
                      homotopies={"h": HomotopyEntry(k_name, alpha.target, flip.witness)})
 
 
-def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 2, "compose", "ROOF ROOF")
-    r1 = _get(session.roofs, "roof", args[0])
-    r2 = _get(session.roofs, "roof", args[1])
+def _cmd_compose(session: SessionFile, names: list[str], r1: RoofEntry, r2: RoofEntry) -> CommandResult:
     composite = compose_roofs(r1.value, r2.value)
     left_name = session.maps[r1.denom].target
     right_name = session.maps[r2.numer].target
@@ -209,27 +177,14 @@ def _cmd_compose(session: SessionFile, args: Sequence[str]) -> CommandResult:
                      roofs={"composite": RoofEntry("denom", "numer", composite)})
 
 
-def _cmd_roof_equiv(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    if len(args) != 8 or args[2] != "--witness":
-        raise UsageError(
-            "usage: homcat roof-equiv SESSION-FILE ROOF ROOF --witness APEX3 DENOM3 NUMER3 UP DOWN"
-        )
-    r1 = _get(session.roofs, "roof", args[0])
-    r2 = _get(session.roofs, "roof", args[1])
-    witness = RoofEquivalenceWitness(
-        apex3=_get(session.objects, "object", args[3]),
-        denom3=_get(session.maps, "map", args[4]).value,
-        numer3=_get(session.maps, "map", args[5]).value,
-        up=_get(session.maps, "map", args[6]).value,
-        down=_get(session.maps, "map", args[7]).value,
-    )
+def _cmd_roof_equiv(session: SessionFile, names: list[str], r1: RoofEntry, r2: RoofEntry,
+                    apex3: CochainComplex, *legs: MapEntry) -> CommandResult:
+    witness = RoofEquivalenceWitness(apex3, *(leg.value for leg in legs))  # denom3, numer3, up, down
     verdict = verify_roof_equivalence(r1.value, r2.value, witness)
-    return _report({"command": "roof-equiv", "roofs": [args[0], args[1]], "result": verdict}, verdict)
+    return _report({"command": "roof-equiv", "roofs": names[:2], "result": verdict}, verdict)
 
 
-def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
-    _need(args, 1, "lift", "MAP")
-    entry = _get(session.maps, "map", args[0])
+def _cmd_lift(session: SessionFile, names: list[str], entry: MapEntry) -> CommandResult:
     roof = lift_map_to_roof(entry.value)
     objects = {entry.source: entry.value.source, entry.target: entry.value.target}
     maps = {
@@ -239,27 +194,47 @@ def _cmd_lift(session: SessionFile, args: Sequence[str]) -> CommandResult:
     return _fragment(session, objects=objects, maps=maps, roofs={"lifted": RoofEntry("denom", "numer", roof)})
 
 
-_COMMANDS: dict[str, Callable[[SessionFile, Sequence[str]], CommandResult]] = {
-    "validate": _cmd_validate,
-    "cohomology": _cmd_cohomology,
-    "shift": _cmd_shift,
-    "cone": _cmd_cone,
-    "les": _cmd_les,
-    "homotopic": _cmd_homotopic,
-    "qis": _cmd_qis,
-    "flip": _cmd_flip,
-    "compose": _cmd_compose,
-    "roof-equiv": _cmd_roof_equiv,
-    "lift": _cmd_lift,
+# Each command's handler and argument shape, as USAGE prints it.  A "--"
+# token must appear literally; every other argument passes through _lookup.
+_COMMANDS: dict[str, tuple[Callable[..., CommandResult], str]] = {
+    "validate": (_cmd_validate, ""),
+    "cohomology": (_cmd_cohomology, "OBJECT"),
+    "shift": (_cmd_shift, "OBJECT N"),
+    "cone": (_cmd_cone, "MAP"),
+    "les": (_cmd_les, "MAP"),
+    "homotopic": (_cmd_homotopic, "MAP MAP"),
+    "qis": (_cmd_qis, "MAP"),
+    "flip": (_cmd_flip, "ALPHA BETA"),
+    "compose": (_cmd_compose, "ROOF ROOF"),
+    "roof-equiv": (_cmd_roof_equiv, "ROOF ROOF --witness APEX3 DENOM3 NUMER3 UP DOWN"),
+    "lift": (_cmd_lift, "MAP"),
 }
+
+_KINDS = dict.fromkeys(("MAP", "ALPHA", "BETA", "DENOM3", "NUMER3", "UP", "DOWN"), "map")
+_KINDS.update(OBJECT="object", APEX3="object", ROOF="roof")
+
+
+def _lookup(session: SessionFile, token: str, name: str):
+    """The session entry ``name`` if ``token`` names an entry kind, else the text ``name``."""
+    kind = _KINDS.get(token)
+    if kind is None:
+        return name
+    table = getattr(session, kind + "s")
+    if name not in table:
+        raise UnknownReferenceError(f"unknown {kind} {quote(name)}")
+    return table[name]
 
 
 def run_command(session: SessionFile, command: str, args: Sequence[str]) -> CommandResult:
     """Execute one command against a parsed session."""
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         raise UsageError(f"unknown command {quote(command)}")
-    return handler(session, list(args))
+    handler, shape = _COMMANDS[command]
+    tokens = shape.split()
+    if len(args) != len(tokens) or any(a != t for t, a in zip(tokens, args) if t.startswith("--")):
+        raise UsageError(f"usage: homcat {command} SESSION-FILE {shape}".rstrip())
+    named = [(t, a) for t, a in zip(tokens, args) if not t.startswith("--")]
+    return handler(session, [a for _, a in named], *[_lookup(session, t, a) for t, a in named])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

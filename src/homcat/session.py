@@ -26,9 +26,9 @@ Parsing is eager: every complex must satisfy d(d(x)) = 0, every map
 must commute with the differentials, and every roof denominator must be
 a quasi-isomorphism before any command runs.  The sizes a session
 declares are checked against MAX_DEGREES and MAX_ENTRIES before any
-matrix is built.  Emission raises SessionSyntaxError, naming the matrix,
-on a rational scalar with more digits than parsing accepts, so homcat
-never writes a file it would refuse to read.
+matrix is built.  Emission raises SessionSyntaxError, naming the matrix
+or the value, on a rational scalar or a degree with more digits than
+parsing accepts, so homcat never writes a file it would refuse to read.
 """
 
 from __future__ import annotations
@@ -374,13 +374,21 @@ def matrix_payload(m: Matrix, where: str):
     return [[_scalar_payload(m.field, x, where) for x in m.row(i)] for i in range(m.rows)]
 
 
+def _degree_key(i: int, where: str) -> str:
+    try:
+        return str(i)
+    except ValueError:  # past the interpreter's limit on digits per integer, as in _parse_int
+        raise SessionSyntaxError(f"{where}: a degree is too long to write") from None
+
+
 def _complex_payload(c: CochainComplex, where: str):
-    payload = {"dims": {str(i): c.dim(i) for i in c.degrees()}}
+    payload = {"dims": {_degree_key(i, where): c.dim(i) for i in c.degrees()}}
     diff = {}
     for i in range(c.lo, c.hi):
         d = c.d(i)
         if d.rows > 0 and d.cols > 0:
-            diff[str(i)] = matrix_payload(d, f"{where} diff {i}")
+            key = _degree_key(i, where)
+            diff[key] = matrix_payload(d, f"{where} diff {key}")
     if diff:
         payload["diff"] = diff
     return payload
@@ -393,7 +401,8 @@ def _graded_payload(entry: MapEntry | HomotopyEntry, where: str):
     for i in f.window:
         m = f.component(i)
         if m.rows > 0 and m.cols > 0:
-            comps[str(i)] = matrix_payload(m, f"{where} component {i}")
+            key = _degree_key(i, where)
+            comps[key] = matrix_payload(m, f"{where} component {key}")
     if comps:
         payload["components"] = comps
     return payload

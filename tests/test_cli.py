@@ -120,6 +120,14 @@ def test_unknown_name_message_names_its_kind(capsys, session_file, argv, kind):
     assert (code, out, err) == (2, "", f"UnknownReferenceError: unknown {kind} 'nope'\n")
 
 
+def test_every_command_row_appears_in_usage():
+    lines = cli.USAGE.splitlines()
+    for name, (_, shape) in cli._COMMANDS.items():
+        row = f"  {name} FILE {shape}".rstrip()
+        assert any(line == row or line.startswith(row + " ") for line in lines), row
+    assert sum(line.startswith("  ") and line[2] != " " for line in lines) == len(cli._COMMANDS)
+
+
 def test_wrong_arg_count(capsys, session_file):
     code, out, err = run(capsys, "qis", session_file)
     assert code == 2
@@ -800,6 +808,36 @@ def test_rational_result_too_long_to_write_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+_TOO_LONG_DEGREE = "-" + "9" * 4300  # parses; one degree further has 4,301 digits
+
+
+@pytest.mark.parametrize(
+    "doc, argv, name",
+    [
+        (
+            {"field": {"kind": "prime", "p": 5}, "objects": {"A": {"dims": {"1": 1}}}},
+            ["shift", "A", _TOO_LONG_DEGREE],
+            "object 'shifted'",
+        ),
+        (
+            {
+                "field": {"kind": "prime", "p": 5},
+                "objects": {"A": {"dims": {_TOO_LONG_DEGREE: 1}}, "B": {"dims": {_TOO_LONG_DEGREE: 1}}},
+                "maps": {"f": {"from": "A", "to": "B", "components": {_TOO_LONG_DEGREE: [[1]]}}},
+            },
+            ["cone", "f"],
+            "object 'cone'",  # its window starts one degree below A's
+        ),
+    ],
+    ids=["shift", "cone"],
+)
+def test_a_degree_too_long_to_write_exits_2_with_one_line(capsys, tmp_path, doc, argv, name):
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"SessionSyntaxError: {name}: a degree is too long to write\n")
+
+
 def test_long_object_name_is_quoted_briefly_on_a_result_too_long_to_write(capsys, tmp_path):
     rng = random.Random(5)
     rows = [[rng.randrange(10**2199, 10**2200) for _ in range(3)] for _ in range(2)]
@@ -922,10 +960,10 @@ def test_error_messages_quote_values_briefly(capsys, tmp_path, doc, names):
     ids=lambda e: type(e).__name__,
 )
 def test_internal_faults_exit_3_with_one_line(capsys, monkeypatch, session_file, fault):
-    def handler(session, args):
+    def handler(session, names):
         raise fault
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", handler)
+    monkeypatch.setitem(cli._COMMANDS, "validate", (handler, ""))
     code, out, err = run(capsys, "validate", session_file)
     assert code == 3
     assert out == ""

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from homcat import (
+    ChainMap,
     CochainComplex,
     FieldMismatchError,
     FieldSpec,
@@ -103,6 +104,15 @@ def test_differentials_outside_the_window_must_carry_no_entries():
     assert c is CochainComplex.create(F5, {0: 1}, lo=0, hi=0)
     with pytest.raises(ShapeMismatchError, match="differential at degree -1 does not fit"):
         CochainComplex.create(F5, {0: 1}, {-1: Matrix.zeros(F5, 1, 1)}, lo=0, hi=0)
+
+
+def test_matrices_over_another_field_are_refused():
+    one = Matrix.identity(Q, 1)
+    with pytest.raises(FieldMismatchError, match="^differential at degree 0 over Q$"):
+        CochainComplex.create(F5, dims={0: 1, 1: 1}, diff={0: one})
+    a = CochainComplex.create(F5, dims={0: 1})
+    with pytest.raises(FieldMismatchError, match="^component at degree 0 over Q$"):
+        ChainMap.create(a, a, {0: one})
 
 
 def test_window_from_declared_degrees():

@@ -216,6 +216,14 @@ def test_les_rejects_non_exact_triangle():
     assert not check_les_exact(t)
 
 
+def test_les_rejects_a_triangle_whose_ranks_fall_short():
+    # (0, 0, 0) on the point: every composite is zero, but at each node
+    # the incoming rank 0 and the outgoing kernel 1 differ
+    x = point(F5)
+    z = zero_chain_map(x, x)
+    assert not check_les_exact(Triangle(z, z, zero_chain_map(x, shift(x, 1))))
+
+
 def test_les_for_cone_triangles_random():
     rng = random.Random(13)
     for field in (F5, Q):

@@ -771,6 +771,15 @@ def test_rational_results_cross_the_denominator_bound_both_ways():
     _assert_matches(wide.take_columns([0, 1]), 2, 2, low.entries)
     assert wide.take_columns([0, 1]).int_form()[0] == m61
 
+
+def test_scaling_a_rational_matrix_without_a_common_denominator():
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:40]
+    m = Matrix(4, 10, tuple(Fraction(1, p) for p in primes), Q)
+    assert m.int_form()[0] == 0  # the product of 40 primes is past the bound
+    for c in (Fraction(-3, 7), 2, 0):
+        _assert_matches(mat_scale(c, m), 4, 10, [c * x for x in m.entries])
+
+
 def test_rational_form_keeps_fractions_past_a_large_common_denominator():
     # 7 (2^61 - 1)(2^89 - 1) has 153 bits: too large to scale every entry by
     rows = [[Fraction(1, 2**61 - 1), Fraction(-1, 2**89 - 1)], [3, Fraction(5, 7)]]

@@ -354,6 +354,16 @@ def test_equivalence_rejects_distinct_cohomology_classes():
     assert not verify_roof_equivalence(r1, r2, w2)
 
 
+def test_equivalence_rejects_a_witness_denominator_that_is_not_a_quasi_iso():
+    # every comparison square closes (all four sides are zero), so only
+    # the quasi-isomorphism test on denom3 refuses the witness
+    p = point(F5)
+    zero = zero_chain_map(p, p)
+    r = Roof(apex=p, denom=identity_chain_map(p), numer=zero)
+    w = RoofEquivalenceWitness(apex3=p, denom3=zero, numer3=zero, up=zero, down=zero)
+    assert not verify_roof_equivalence(r, r, w)
+
+
 def functoriality_witness(f, g, composed):
     """Witness that compose(lift f, lift g) is equivalent to lift(g∘f).
 
